@@ -66,13 +66,16 @@ def _client_row(record: dict, client_id: int) -> dict | None:
 
 
 def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
+    # Serialize before writing anything: a non-finite value raises here.
+    rounds_text = "".join(
+        json.dumps(r.to_dict(), sort_keys=True, allow_nan=False) + "\n" for r in result.rounds
+    )
+    ft_text = "".join(
+        json.dumps(e, sort_keys=True, allow_nan=False) + "\n" for e in result.finetune_trace
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "config.resolved.cfg", emit_config(cfg))
-    rounds_text = "".join(
-        json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in result.rounds
-    )
     _atomic_write(out_dir / "rounds.jsonl", rounds_text)
-    ft_text = "".join(json.dumps(e, sort_keys=True) + "\n" for e in result.finetune_trace)
     _atomic_write(out_dir / "finetune.jsonl", ft_text)
 
     opt_id = cfg.optimized_client
@@ -113,13 +116,15 @@ def cmd_run(args) -> int:
     if args.ablation_naive_all:
         cfg.optimized_client = None
     try:
-        result = run_federated(cfg)
-        _write_outputs(Path(args.out), cfg, result)
+        cfg.validate()
     except ValueError as exc:
         log.error("config: %s", exc)
         return EXIT_CONFIG
-    except OSError as exc:
-        log.error("runtime: %s: %s", getattr(exc, "filename", ""), exc)
+    try:
+        result = run_federated(cfg)
+        _write_outputs(Path(args.out), cfg, result)
+    except (ValueError, OSError) as exc:
+        log.error("runtime: %s", exc)
         return EXIT_RUNTIME
     print(f"wrote {args.out}/rounds.jsonl ({len(result.rounds)} rounds)")
     return EXIT_OK

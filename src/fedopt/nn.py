@@ -38,6 +38,26 @@ class Mlp:
             m.weights[i] = rng.uniform(-limit, limit, size=(a, b))
         return m
 
+    @classmethod
+    def view_of(cls, layer_dims: list[int], flat: np.ndarray) -> "Mlp":
+        """Model whose weights and biases are reshaped views of `flat`.
+
+        `flat` is a float64 vector in the canonical layout; writing to it
+        changes the model without a copy.
+        """
+        dims = list(layer_dims)
+        pairs = list(zip(dims, dims[1:]))
+        n = sum((a + 1) * b for a, b in pairs)
+        if flat.dtype != np.float64 or flat.shape != (n,):
+            raise ValueError(f"need a float64 vector of length {n}, got {flat.dtype} {flat.shape}")
+        weights, biases, off = [], [], 0
+        for a, b in pairs:
+            weights.append(flat[off : off + a * b].reshape(a, b))
+            off += a * b
+            biases.append(flat[off : off + b])
+            off += b
+        return cls(dims, weights, biases)
+
     @property
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
@@ -51,15 +71,9 @@ class Mlp:
         return np.concatenate(parts)
 
     def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"param vector length {flat.shape} != {self.n_params}")
-        off = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[off : off + w.size].reshape(w.shape).copy()
-            off += w.size
-            self.biases[i] = flat[off : off + b.size].copy()
-            off += b.size
+        """Load a copy of `flat` (canonical layout) as the weights and biases."""
+        m = Mlp.view_of(self.layer_dims, np.array(flat, dtype=np.float64))
+        self.weights, self.biases = m.weights, m.biases
 
     def copy(self) -> "Mlp":
         m = Mlp(list(self.layer_dims))

@@ -60,6 +60,10 @@ class ExperimentConfig:
             raise ValueError("c_ratio outside (0, 1]")
         if self.n_clients < 1 or self.rounds < 1 or self.local_epochs < 1:
             raise ValueError("need n_clients, rounds, local_epochs >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be finite and > 0")
         if not (0.0 < self.split_ratio < 1.0):
             raise ValueError("split_ratio outside (0, 1)")
         if self.aggregation not in STRATEGIES:
@@ -123,6 +127,13 @@ def compute_performance_bound(
     return p_full, p_sel, math.pi * float(np.sum(big**2 - small**2))
 
 
+def _require_finite(where: str, **values) -> None:
+    """Stop a diverged run: every value must be finite."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{where}: non-finite {name} (diverged)")
+
+
 def _derived_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
@@ -148,8 +159,8 @@ def client_local_train(
     """Mini-batch SGD from w_init; optional proximal pull toward w_global."""
     if len(y) == 0:
         raise ValueError("empty training subset")
-    model = Mlp(list(arch))
-    model.set_params(w_init)
+    params = np.array(w_init, dtype=np.float64)
+    model = Mlp.view_of(arch, params)
     for _ in range(epochs):
         for batch in _batches(len(y), batch_size, rng):
             cache: dict = {}
@@ -157,9 +168,9 @@ def client_local_train(
             _, d_logits = cross_entropy_loss(logits, y[batch])
             grads, _ = backward(model, cache, d_logits)
             if prox_mu > 0.0 and w_global is not None:
-                grads = grads + prox_mu * (model.get_params() - w_global)
-            model.set_params(sgd_step(model.get_params(), grads, lr))
-    return model.get_params()
+                grads = grads + prox_mu * (params - w_global)
+            params[...] = sgd_step(params, grads, lr)
+    return params
 
 
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -188,18 +199,17 @@ def post_fl_finetune(
     """
     if len(y_train) == 0 or len(y_val) == 0:
         raise ValueError("empty fine-tune split")
-    model = Mlp(list(arch))
     params = w_start.copy()
     best_params, best_acc = params, -1.0
     stale = 0
     trace = []
     for epoch in range(1, max_epochs + 1):
         params = client_local_train(arch, params, x_train, y_train, 1, batch_size, lr, rng)
-        model.set_params(params)
-        acc = accuracy(evaluate(model, x_val, y_val))
+        _require_finite(f"fine-tune epoch {epoch}", parameters=params)
+        acc = accuracy(evaluate(Mlp.view_of(arch, params), x_val, y_val))
         trace.append({"epoch": epoch, "val_accuracy": acc})
         if acc > best_acc + 1e-4:
-            best_acc, best_params, stale = acc, params.copy(), 0
+            best_acc, best_params, stale = acc, params, 0
         else:
             stale += 1
         if stale >= patience:
@@ -256,7 +266,7 @@ class _OptimizedClient:
         cfg = self.cfg
         arch = self.arch
         xt, yt = x[part.all_train_indices()], y[part.all_train_indices()]
-        state = compute_state(w_global, arch, xt, yt, t)
+        state, l_agg = compute_state(w_global, arch, xt, yt, t)
         self._complete_pending(state)
         self.state_log[t] = state
 
@@ -267,10 +277,11 @@ class _OptimizedClient:
             explore = self._explore_action(raw, state, part, t)
             eps = cfg.agent.epsilon_at(t, cfg.rounds)
             fractions = agent_mod.epsilon_greedy_select(explore, self.ac, state, eps, self.rng)
+        where = f"round {t}: client {part.client_id}"
+        _require_finite(where, fractions=fractions)
 
         sub = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed_data, 41, t))
         sel = sub.all_indices()
-        l_agg = dataset_loss(arch, w_global, xt, yt)
         train_rng = np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, part.client_id))
         prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
         w_new = client_local_train(
@@ -290,6 +301,8 @@ class _OptimizedClient:
                     l_ref = est
         mu_a = float(np.mean(fractions))
         r = compute_reward(l_agg, l_ref, mu_a, cfg.reward, t)
+        _require_finite(where, parameters=w_new, l_agg=l_agg, l_local=l_local, l_ref=l_ref,
+                        reward=r)
         self.history.append(t, l_local)
         self.pending = (state.as_array(), fractions, r)
 
@@ -308,7 +321,8 @@ class _OptimizedClient:
 
     def finish(self, w_global, part, x, y, t: int) -> None:
         idx = part.all_train_indices()
-        self._complete_pending(compute_state(w_global, self.arch, x[idx], y[idx], t), terminal=True)
+        state, _ = compute_state(w_global, self.arch, x[idx], y[idx], t)
+        self._complete_pending(state, terminal=True)
 
 
 def run_federated(cfg: ExperimentConfig) -> RunResult:
@@ -337,6 +351,12 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         opt.arch = arch
 
     x, y = ds.features, ds.labels
+    # Per-round evaluation covers every client with validation rows at once:
+    # their rows back to back, and each row's slot in `val_parts`.
+    val_parts = [p for p in parts if len(p.val_indices)]
+    val_rows = np.concatenate([p.val_indices for p in val_parts] or [np.empty(0, np.int64)])
+    val_slots = np.repeat(np.arange(len(val_parts)), [len(p.val_indices) for p in val_parts])
+    val_y = y[val_rows]
     eval_model = Mlp(list(arch))
     records: list[RoundRecord] = []
     client_params: dict[int, np.ndarray] = {}
@@ -361,27 +381,28 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
                     cfg.batch_size, cfg.lr, train_rng, prox, server.global_params,
                 )
                 n_used = len(idx)
+                _require_finite(f"round {t}: client {k}", parameters=w_k)
             client_params[k] = w_k
             updates.append(ClientUpdate(k, w_k, n_used))
         aggregate(
             cfg.aggregation, updates, server,
             beta=cfg.fedavgm_beta, server_lr=cfg.fedavgm_server_lr, cda_depth=cfg.cda_depth,
         )
+        _require_finite(f"round {t}: server", parameters=server.global_params)
 
         eval_model.set_params(server.global_params)
-        client_metrics = []
-        for part in parts:
-            if len(part.val_indices) == 0:
-                continue
-            cm = evaluate(eval_model, x[part.val_indices], y[part.val_indices])
-            p, r, f1 = class_prf1(cm)
-            client_metrics.append({
+        cms = evaluate(eval_model, x, val_y, val_rows, val_slots, len(val_parts))
+        p, r, f1 = (m.mean(axis=-1) for m in class_prf1(cms))
+        client_metrics = [
+            {
                 "client": part.client_id,
-                "accuracy": accuracy(cm),
-                "precision": float(np.mean(p)),
-                "recall": float(np.mean(r)),
-                "f1": float(np.mean(f1)),
-            })
+                "accuracy": float(acc_g),
+                "precision": float(p_g),
+                "recall": float(r_g),
+                "f1": float(f1_g),
+            }
+            for part, acc_g, p_g, r_g, f1_g in zip(val_parts, accuracy(cms), p, r, f1)
+        ]
         records.append(RoundRecord(t, sampled, client_metrics, opt_fragment, cfg.aggregation))
 
     finetune_trace: list[dict] = []

@@ -1,10 +1,12 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
-from fedopt.cli import main
+from fedopt.cli import _write_outputs, main
 from fedopt.config import ConfigError, emit_config, parse_config
-from fedopt.orchestrator import ExperimentConfig
+from fedopt.orchestrator import ExperimentConfig, RoundRecord, RunResult
 
 SMALL = """
 n_clients = 3
@@ -62,6 +64,19 @@ class TestParseConfig:
         assert cfg.agent.gamma == 0.5
         assert cfg.reward.lam == 0.05
 
+    @pytest.mark.parametrize("line,key", [
+        ("lr = 0", "lr"), ("lr = -0.1", "lr"), ("lr = nan", "lr"),
+        ("batch_size = 0", "batch_size"), ("batch_size = -4", "batch_size"),
+    ])
+    def test_non_positive_step_settings_rejected(self, tmp_path, line, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(str(path))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(rounds=12, optimized_client=None, hidden_dims=[16, 8])
         cfg.agent.epsilon_decay = 0.05
@@ -93,6 +108,36 @@ class TestCmdRun:
         bad = tmp_path / "bad.cfg"
         bad.write_text("c_ratio = 9\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_diverged_run_exits_3_naming_round_and_client(self, tmp_path, caplog):
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text("n_clients = 4\nrounds = 3\nlr = 1000\n")
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert re.search(r"runtime: round \d+: client \d+: non-finite", caplog.text)
+        assert not (out / "rounds.jsonl").exists()
+        assert not (out / "summary.csv").exists()
+
+    def test_diverged_agent_exits_3_naming_round(self, tmp_path, caplog):
+        # At this seed the reward reference fit decays toward 0, the reward
+        # grows without bound and the actor's outputs turn NaN.
+        cfg = tmp_path / "agent_long.cfg"
+        cfg.write_text("n_clients = 4\nrounds = 400\nn_per_class = 100\n"
+                       "action_strategy = weighted_metric\naggregation = fedprox\n")
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--seed", "708060"])
+        assert code == 3
+        assert re.search(r"runtime: round \d+: client 0: non-finite fractions", caplog.text)
+
+    def test_outputs_reject_non_finite_values(self, tmp_path):
+        cfg = ExperimentConfig()
+        record = RoundRecord(0, [0], [], {"reward": float("nan")}, "fedavg")
+        result = RunResult(np.zeros(3), {}, [record], [], None, [2, 2])
+        with pytest.raises(ValueError):
+            _write_outputs(tmp_path / "o", cfg, result)
+        assert not (tmp_path / "o").exists()
 
     def test_ablation_flag(self, small_config, tmp_path):
         out = tmp_path / "abl"

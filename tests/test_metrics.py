@@ -85,7 +85,7 @@ class TestComputeState:
         m.weights[0] = np.eye(2) * 10
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
-        s = compute_state(m.get_params(), arch, x, y)
+        s, _ = compute_state(m.get_params(), arch, x, y)
         np.testing.assert_array_equal(s.f1_per_class, [1.0, 1.0])
 
     def test_constant_prediction_balanced(self):
@@ -94,7 +94,7 @@ class TestComputeState:
         m.biases[0] = np.array([1.0, 0.0])  # always predicts class 0
         x = np.zeros((4, 2))
         y = np.array([0, 0, 1, 1])
-        s = compute_state(m.get_params(), arch, x, y)
+        s, _ = compute_state(m.get_params(), arch, x, y)
         np.testing.assert_allclose(s.f1_per_class, [2 / 3, 0.0])
 
     def test_range_and_purity(self):
@@ -103,11 +103,59 @@ class TestComputeState:
         m = Mlp.init_glorot(arch, rng)
         x = rng.normal(size=(30, 3))
         y = rng.integers(0, 3, 30)
-        s1 = compute_state(m.get_params(), arch, x, y)
-        s2 = compute_state(m.get_params(), arch, x, y)
+        s1, _ = compute_state(m.get_params(), arch, x, y)
+        s2, _ = compute_state(m.get_params(), arch, x, y)
         assert np.all((s1.f1_per_class >= 0) & (s1.f1_per_class <= 1))
         np.testing.assert_array_equal(s1.f1_per_class, s2.f1_per_class)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             compute_state(Mlp([2, 2]).get_params(), [2, 2], np.zeros((0, 2)), np.array([]))
+
+    def test_loss_equals_dataset_loss(self):
+        from fedopt.orchestrator import dataset_loss
+
+        rng = np.random.default_rng(3)
+        arch = [3, 5, 3]
+        w = Mlp.init_glorot(arch, rng).get_params()
+        x = rng.normal(size=(40, 3))
+        y = rng.integers(0, 3, 40)
+        _, loss = compute_state(w, arch, x, y)
+        assert loss == dataset_loss(arch, w, x, y)
+
+
+class TestStacked:
+    def _stack(self, seed=4, groups=5, n=200, c=4):
+        rng = np.random.default_rng(seed)
+        preds = rng.integers(0, c, n)
+        truth = rng.integers(0, c, n)
+        slot = rng.integers(0, groups, n)
+        return preds, truth, slot
+
+    def test_confusion_stack_matches_per_group(self):
+        preds, truth, slot = self._stack()
+        stack = confusion(preds, truth, 4, slot, 6)  # group 5 has no samples
+        assert stack.shape == (6, 4, 4)
+        for g in range(6):
+            in_g = slot == g
+            np.testing.assert_array_equal(stack[g], confusion(preds[in_g], truth[in_g], 4))
+
+    def test_metrics_of_stack_equal_2d_metrics(self):
+        preds, truth, slot = self._stack()
+        stack = confusion(preds, truth, 4, slot, 6)
+        p, r, f1 = class_prf1(stack)
+        acc = accuracy(stack)
+        for g in range(6):
+            pg, rg, f1g = class_prf1(stack[g])
+            assert (p[g] == pg).all() and (r[g] == rg).all() and (f1[g] == f1g).all()
+            assert acc[g] == accuracy(stack[g])
+        assert acc[5] == 0.0
+
+    @pytest.mark.parametrize("preds,truth,groups", [
+        ([0, 4], [0, 1], None),   # prediction outside [0, C)
+        ([0, 1], [0, -1], None),  # negative label
+        ([0, 1], [0, 1], [0, 2]),  # group outside [0, n_groups)
+    ])
+    def test_confusion_rejects_out_of_range(self, preds, truth, groups):
+        with pytest.raises(ValueError):
+            confusion(np.array(preds), np.array(truth), 4, groups, 2)

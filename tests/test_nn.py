@@ -78,6 +78,21 @@ class TestParamVector:
         with pytest.raises(ValueError):
             Mlp([2, 2]).set_params(np.zeros(3))
 
+    def test_view_of_shares_memory_with_flat(self):
+        dims = [3, 4, 2]
+        flat = Mlp.init_glorot(dims, np.random.default_rng(0)).get_params()
+        m = Mlp.view_of(dims, flat)
+        np.testing.assert_array_equal(m.get_params(), flat)
+        flat[...] = 0.5
+        # each hidden unit is 0.5, so each logit is 4 * 0.5 * 0.5 + 0.5
+        assert np.all(forward(m, np.zeros((1, 3))) == 1.5)
+        assert all(np.shares_memory(a, flat) for a in m.weights + m.biases)
+
+    @pytest.mark.parametrize("flat", [np.zeros(3), np.zeros(6, dtype=np.float32)])
+    def test_view_of_rejects_wrong_length_or_dtype(self, flat):
+        with pytest.raises(ValueError):
+            Mlp.view_of([2, 2], flat)
+
 
 class TestCrossEntropy:
     def test_uniform_softmax(self):

@@ -65,6 +65,41 @@ class TestClientLocalTrain:
             client_local_train([2, 2], np.zeros(6), np.zeros((0, 2)), np.array([]), 1, 4, 0.1,
                                np.random.default_rng(0))
 
+    @staticmethod
+    def _reference(arch, w_init, x, y, epochs, batch_size, lr, rng, prox_mu, w_global):
+        """Copying loop: parameters go through set_params/get_params every step."""
+        model = Mlp(list(arch))
+        model.set_params(w_init)
+        for _ in range(epochs):
+            order = rng.permutation(len(y))
+            for i in range(0, len(y), batch_size):
+                batch = order[i : i + batch_size]
+                cache = {}
+                _, d_logits = cross_entropy_loss(forward(model, x[batch], cache), y[batch])
+                grads, _ = backward(model, cache, d_logits)
+                if prox_mu > 0.0 and w_global is not None:
+                    grads = grads + prox_mu * (model.get_params() - w_global)
+                model.set_params(sgd_step(model.get_params(), grads, lr))
+        return model.get_params()
+
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    @pytest.mark.parametrize("epochs,batch_size", [(1, 16), (3, 7)])
+    def test_matches_copying_reference_bit_for_bit(self, prox_mu, epochs, batch_size):
+        rng = np.random.default_rng(5)
+        arch = [4, 6, 5, 3]
+        w_init = Mlp.init_glorot(arch, rng).get_params()
+        w_global = w_init + rng.normal(scale=0.1, size=w_init.shape)
+        x = rng.normal(size=(45, 4))  # 45 rows: the last batch is partial for 7 and 16
+        y = rng.integers(0, 3, 45)
+        before = w_init.copy()
+        out = client_local_train(arch, w_init, x, y, epochs, batch_size, 0.2,
+                                 np.random.default_rng(9), prox_mu, w_global)
+        ref = self._reference(arch, w_init, x, y, epochs, batch_size, 0.2,
+                              np.random.default_rng(9), prox_mu, w_global)
+        assert np.array_equal(out, ref)
+        assert not np.array_equal(out, w_init)
+        assert np.array_equal(w_init, before)
+
 
 class TestPostFlFinetune:
     def _splits(self, seed=0):
@@ -96,6 +131,13 @@ class TestPostFlFinetune:
         m = Mlp(arch)
         m.set_params(best)
         assert accuracy(evaluate(m, xv, yv)) == pytest.approx(max(e["val_accuracy"] for e in trace))
+
+    def test_diverged_finetune_raises_naming_epoch(self):
+        arch, w, xt, yt, xv, yv = self._splits(2)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"fine-tune epoch \d+: non-finite"
+        ):
+            post_fl_finetune(arch, w, xt, yt, xv, yv, 8, 1e6, 100, 50, np.random.default_rng(1))
 
     def test_empty_split(self):
         with pytest.raises(ValueError):
@@ -208,6 +250,66 @@ class TestRunFederated:
     def test_all_aggregations_run(self, strategy):
         res = run_federated(small_cfg(aggregation=strategy, rounds=3))
         assert len(res.rounds) == 3
+
+    @staticmethod
+    def _reference_metrics(cfg, params):
+        """Per-client loop: one forward pass and one confusion matrix per client."""
+        from fedopt.orchestrator import _derived_seed
+
+        ds = generate_synthetic(cfg.n_classes, cfg.n_per_class, cfg.feature_dim,
+                                cfg.spread, cfg.seed_data)
+        parts = [
+            train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed_data, 17, p.client_id))
+            for p in dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed_data)
+        ]
+        model = Mlp([cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes])
+        model.set_params(params)
+        rows = []
+        for part in parts:
+            if len(part.val_indices) == 0:
+                continue
+            preds = forward(model, ds.features[part.val_indices]).argmax(axis=1)
+            cm = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
+            np.add.at(cm, (ds.labels[part.val_indices], preds), 1)
+            tp = np.diag(cm).astype(np.float64)
+            fp, fn = cm.sum(axis=0) - tp, cm.sum(axis=1) - tp
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+                r = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+                f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
+            rows.append({
+                "client": part.client_id,
+                "accuracy": float(np.trace(cm) / cm.sum()),
+                "precision": float(np.mean(p)),
+                "recall": float(np.mean(r)),
+                "f1": float(np.mean(f1)),
+            })
+        return rows
+
+    @pytest.mark.parametrize("overrides,n_reported", [
+        # 12 clients at alpha 0.05: nine of them have no validation rows
+        (dict(n_clients=12, dirichlet_alpha=0.05, n_per_class=10, optimized_client=None), 3),
+        # one sample per class: no client has validation rows
+        (dict(n_clients=4, n_per_class=1, optimized_client=None), 0),
+        # 600 validation rows, more than one evaluation chunk
+        (dict(n_per_class=1000, rounds=2), 3),
+    ])
+    def test_round_metrics_equal_per_client_loop(self, overrides, n_reported):
+        cfg = small_cfg(**overrides)
+        res = run_federated(cfg)
+        # the last round is evaluated with the final global parameters
+        last = res.rounds[-1].client_metrics
+        assert len(last) == n_reported
+        assert last == self._reference_metrics(cfg, res.final_global)
+
+    def test_round_metrics_do_not_depend_on_chunk_size(self, monkeypatch):
+        from fedopt import metrics
+
+        cfg = small_cfg(n_clients=5, rounds=2)
+        expect = run_federated(cfg).rounds
+        monkeypatch.setattr(metrics, "EVAL_CHUNK", 7)
+        got = run_federated(small_cfg(n_clients=5, rounds=2)).rounds
+        assert [r.client_metrics for r in got] == [r.client_metrics for r in expect]
 
     def test_invalid_config_rejected_early(self):
         with pytest.raises(ValueError):
