@@ -50,6 +50,8 @@ class AgentConfig:
             raise ValueError("need 0 < b_l <= b_u <= 1")
         if self.eta < 1 or self.n_step < 1:
             raise ValueError("need eta >= 1 and n_step >= 1")
+        if self.batch_size < 1 or self.hidden < 1:
+            raise ValueError("need agent batch_size >= 1 and hidden >= 1")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma outside (0, 1)")
 
@@ -76,34 +78,40 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        if not self._items:
-            raise ValueError("empty replay buffer")
-        n = len(self._items)
-        idx = self._rng.choice(n, size=min(batch_size, n), replace=False)
-        return [self._items[i] for i in idx]
-
     def sample_slices(self, batch_size: int, n_step: int, gamma: float):
-        """n-step slices: (state, action, return, bootstrap state, terminal, steps)."""
+        """Sample up to `batch_size` distinct starts without replacement.
+
+        Each start i covers the transitions i, i+1, ... up to `n_step` of
+        them, stopping after a terminal one or at the newest. Returns the
+        stacked arrays (states, actions, returns, boot_states, terminal,
+        steps): the start's state and action, the gamma-discounted reward
+        sum, the last covered transition's next state and terminal flag,
+        and the number of transitions covered.
+        """
         if not self._items:
             raise ValueError("empty replay buffer")
         n = len(self._items)
         starts = self._rng.choice(n, size=min(batch_size, n), replace=False)
-        out = []
+        returns, boots, terminal, steps = [], [], [], []
         for i in starts:
-            g, steps = 0.0, 0
-            last = self._items[i]
-            for k in range(n_step):
-                if i + k >= n:
-                    break
-                last = self._items[i + k]
+            g, k, last = 0.0, 0, self._items[i]
+            for last in self._items[i : i + n_step]:
                 g += gamma**k * last.reward
-                steps += 1
+                k += 1
                 if last.terminal:
                     break
-            out.append((self._items[i].state, self._items[i].action, g,
-                        last.next_state, last.terminal, steps))
-        return out
+            returns.append(g)
+            boots.append(last.next_state)
+            terminal.append(last.terminal)
+            steps.append(k)
+        return (
+            np.stack([self._items[i].state for i in starts]),
+            np.stack([self._items[i].action for i in starts]),
+            np.array(returns),
+            np.stack(boots),
+            np.array(terminal, dtype=np.float64),
+            np.array(steps, dtype=np.float64),
+        )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -122,11 +130,8 @@ class ActorCritic:
         self.actor_target = self.actor.copy()
         self.critic_target = self.critic.copy()
 
-    def _squash(self, raw: np.ndarray) -> np.ndarray:
-        return self.cfg.b_l + (self.cfg.b_u - self.cfg.b_l) * _sigmoid(raw)
-
     def _act(self, actor: Mlp, states: np.ndarray) -> np.ndarray:
-        return self._squash(forward(actor, states))
+        return self.cfg.b_l + (self.cfg.b_u - self.cfg.b_l) * _sigmoid(forward(actor, states))
 
 
 def policy_action(ac: ActorCritic, s: StateVector) -> np.ndarray:
@@ -174,44 +179,22 @@ def weighted_metric_action(
 
 
 def epsilon_greedy_select(
-    explore: np.ndarray,
-    ac: ActorCritic,
-    s: StateVector,
-    epsilon: float,
-    rng: np.random.Generator,
+    explore: np.ndarray, greedy: np.ndarray, epsilon: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Explore with probability epsilon, else the actor's greedy action."""
+    """`explore` with probability epsilon, else the actor's `greedy` action."""
     if rng.random() < epsilon:
         return np.asarray(explore, dtype=np.float64)
-    return policy_action(ac, s)
+    return greedy
 
 
-def critic_update(ac: ActorCritic, batch: list[Transition], cfg: AgentConfig) -> float:
-    """One MSE step toward the (n-step) bootstrapped target; returns pre-step loss."""
-    if not batch:
+def critic_update(ac: ActorCritic, batch: tuple, cfg: AgentConfig) -> float:
+    """One MSE step toward the n-step bootstrapped target; returns pre-step loss.
+
+    `batch` is the tuple returned by `ReplayBuffer.sample_slices`.
+    """
+    states, actions, returns, boot_states, terminal, steps = batch
+    if len(states) == 0:
         raise ValueError("empty batch")
-    states = np.stack([tr.state for tr in batch])
-    actions = np.stack([tr.action for tr in batch])
-    rewards = np.array([tr.reward for tr in batch])
-    next_states = np.stack([tr.next_state for tr in batch])
-    terminal = np.array([tr.terminal for tr in batch], dtype=np.float64)
-    steps = np.ones(len(batch))
-    return _critic_step(ac, cfg, states, actions, rewards, next_states, terminal, steps)
-
-
-def critic_update_nstep(ac: ActorCritic, slices, cfg: AgentConfig) -> float:
-    if not slices:
-        raise ValueError("empty batch")
-    states = np.stack([s[0] for s in slices])
-    actions = np.stack([s[1] for s in slices])
-    returns = np.array([s[2] for s in slices])
-    boots = np.stack([s[3] for s in slices])
-    terminal = np.array([s[4] for s in slices], dtype=np.float64)
-    steps = np.array([s[5] for s in slices], dtype=np.float64)
-    return _critic_step(ac, cfg, states, actions, returns, boots, terminal, steps)
-
-
-def _critic_step(ac, cfg, states, actions, returns, boot_states, terminal, steps):
     next_a = ac._act(ac.actor_target, boot_states)
     q_next = forward(ac.critic_target, np.hstack([boot_states, next_a]))[:, 0]
     target = returns + (cfg.gamma**steps) * (1.0 - terminal) * q_next
@@ -221,15 +204,18 @@ def _critic_step(ac, cfg, states, actions, returns, boot_states, terminal, steps
     loss = float(np.mean(err**2))
     d_out = (2.0 * err / len(err))[:, None]
     grads, _ = backward(ac.critic, cache, d_out)
-    ac.critic.set_params(sgd_step(ac.critic.get_params(), grads, cfg.critic_lr))
+    ac.critic.params[...] = sgd_step(ac.critic.params, grads, cfg.critic_lr)
     return loss
 
 
-def actor_update(ac: ActorCritic, batch: list[Transition], cfg: AgentConfig) -> float:
-    """One ascent step on mean Q(s, actor(s)); critic stays frozen."""
-    if not batch:
+# perfbench/spans.py wraps this name too (by attribute), so it stays as an alias.
+critic_update_nstep = critic_update
+
+
+def actor_update(ac: ActorCritic, states: np.ndarray, cfg: AgentConfig) -> float:
+    """One ascent step on mean Q(s, actor(s)) over `states`; critic stays frozen."""
+    if len(states) == 0:
         raise ValueError("empty batch")
-    states = np.stack([tr.state for tr in batch])
     actor_cache: dict = {}
     raw = forward(ac.actor, states, actor_cache)
     sig = _sigmoid(raw)
@@ -243,13 +229,13 @@ def actor_update(ac: ActorCritic, batch: list[Transition], cfg: AgentConfig) -> 
     d_raw = d_action * (ac.cfg.b_u - ac.cfg.b_l) * sig * (1.0 - sig)
     grads, _ = backward(ac.actor, actor_cache, d_raw)
     # gradient ascent on the objective
-    ac.actor.set_params(sgd_step(ac.actor.get_params(), grads, -cfg.actor_lr))
+    ac.actor.params[...] = sgd_step(ac.actor.params, grads, -cfg.actor_lr)
     return objective
 
 
 def soft_update(ac: ActorCritic, tau: float) -> None:
-    """target <- tau*online + (1-tau)*target for both networks."""
+    """target <- tau*online + (1-tau)*target for both networks, in place."""
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau outside (0, 1]")
     for online, target in ((ac.actor, ac.actor_target), (ac.critic, ac.critic_target)):
-        target.set_params(tau * online.get_params() + (1.0 - tau) * target.get_params())
+        target.params[...] = tau * online.params + (1.0 - tau) * target.params

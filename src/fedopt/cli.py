@@ -67,8 +67,9 @@ def _client_row(record: dict, client_id: int) -> dict | None:
 
 def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
     # Serialize before writing anything: a non-finite value raises here.
+    records = [r.to_dict() for r in result.rounds]
     rounds_text = "".join(
-        json.dumps(r.to_dict(), sort_keys=True, allow_nan=False) + "\n" for r in result.rounds
+        json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records
     )
     ft_text = "".join(
         json.dumps(e, sort_keys=True, allow_nan=False) + "\n" for e in result.finetune_trace
@@ -81,7 +82,7 @@ def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> N
     opt_id = cfg.optimized_client
     best_naive = {"accuracy": 0.0, "precision": 0.0, "recall": 0.0}
     best_opt = {"accuracy": 0.0, "precision": 0.0, "recall": 0.0}
-    for rec in (r.to_dict() for r in result.rounds):
+    for rec in records:
         naive = _naive_mean(rec, opt_id)
         for key in best_naive:
             best_naive[key] = max(best_naive[key], naive[key])

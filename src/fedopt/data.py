@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,26 +35,11 @@ class ClientPartition:
         return np.array([len(ix) for ix in self.train_indices_by_class], dtype=np.int64)
 
     def all_train_indices(self) -> np.ndarray:
-        parts = [ix for ix in self.train_indices_by_class if len(ix)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return _concat(self.train_indices_by_class)
 
 
-@dataclass
-class ActionPartitionedDataset:
-    parent: int
-    selected_indices_by_class: list[np.ndarray]
-
-    @property
-    def n_selected(self) -> int:
-        return sum(len(ix) for ix in self.selected_indices_by_class)
-
-    def all_indices(self) -> np.ndarray:
-        parts = [ix for ix in self.selected_indices_by_class if len(ix)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+def _concat(index_lists: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([*index_lists, np.empty(0, dtype=np.int64)])
 
 
 def generate_synthetic(
@@ -72,9 +58,22 @@ def generate_synthetic(
 
 
 def load_csv(path: str, n_classes: int | None = None) -> LabeledDataset:
-    """Header-free numeric CSV, one sample per row, integer label last."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    labels = raw[:, -1].astype(np.int64)
+    """Header-free numeric CSV, one sample per row, integer label last.
+
+    A file with no rows, or a label that is not a non-negative integer,
+    raises ValueError naming the path and the first bad row.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    if raw.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    col = raw[:, -1]
+    bad = np.flatnonzero(~np.isfinite(col) | (col < 0) | (col != np.floor(col)))
+    if len(bad):
+        raise ValueError(f"{path}: data row {bad[0] + 1}: label {float(col[bad[0]])} "
+                         "is not a non-negative integer")
+    labels = col.astype(np.int64)
     if n_classes is None:
         n_classes = int(labels.max()) + 1
     return LabeledDataset(raw[:, :-1], labels, n_classes)
@@ -123,13 +122,12 @@ def train_val_split(p: ClientPartition, ratio: float, seed: int) -> ClientPartit
     return ClientPartition(p.client_id, p.n_classes, train_by_class, val)
 
 
-def action_partition(
-    p: ClientPartition, fractions: np.ndarray, seed: int
-) -> ActionPartitionedDataset:
+def action_partition(p: ClientPartition, fractions: np.ndarray, seed: int) -> np.ndarray:
     """Per class, keep floor(fraction * count) uniformly sampled indices.
 
     Nonzero fractions on nonempty classes keep at least one sample.
-    A fraction of exactly 1.0 keeps the class list unchanged.
+    A fraction of exactly 1.0 keeps the class list unchanged. Returns the
+    kept indices, class by class, each class's in ascending order.
     """
     fractions = np.asarray(fractions, dtype=np.float64)
     if len(fractions) != p.n_classes:
@@ -137,13 +135,11 @@ def action_partition(
     if np.any(fractions <= 0.0) or np.any(fractions > 1.0):
         raise ValueError(f"fractions outside (0, 1]: {fractions}")
     rng = np.random.default_rng(seed)
-    selected = []
+    kept = []
     for frac, idx in zip(fractions, p.train_indices_by_class):
-        if len(idx) == 0:
-            selected.append(idx.copy())
-        elif frac >= 1.0:
-            selected.append(idx.copy())
+        if len(idx) == 0 or frac >= 1.0:
+            kept.append(idx)
         else:
             n = max(1, int(np.floor(frac * len(idx))))
-            selected.append(np.sort(rng.choice(idx, size=n, replace=False)))
-    return ActionPartitionedDataset(p.client_id, selected)
+            kept.append(np.sort(rng.choice(idx, size=n, replace=False)))
+    return _concat(kept)

@@ -108,9 +108,7 @@ def compute_state(
     local training set, from one forward pass."""
     if len(y) == 0:
         raise ValueError("empty dataset")
-    model = Mlp(list(arch))
-    model.set_params(params)
-    logits = forward(model, x)
+    logits = forward(Mlp(arch, params), x)
     loss, _ = cross_entropy_loss(logits, y)
-    _, _, f1 = class_prf1(confusion(logits.argmax(axis=1), y, model.layer_dims[-1]))
+    _, _, f1 = class_prf1(confusion(logits.argmax(axis=1), y, arch[-1]))
     return StateVector(f1, round_t), loss

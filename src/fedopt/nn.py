@@ -7,79 +7,66 @@ layer 1 weights, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass
 class Mlp:
-    """Feed-forward network: ReLU hidden layers, identity output."""
+    """Feed-forward network: ReLU hidden layers, identity output.
 
-    layer_dims: list[int]
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
+    All parameters live in one float64 vector `params` in the canonical
+    layout; `weights` and `biases` are tuples of reshaped views of it, so
+    writing to `params` changes the model without a copy.
+    """
 
-    def __post_init__(self):
-        if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
-            raise ValueError(f"bad layer_dims {self.layer_dims}")
-        if not self.weights:
-            self.weights = [
-                np.zeros((a, b)) for a, b in zip(self.layer_dims, self.layer_dims[1:])
-            ]
-            self.biases = [np.zeros(b) for b in self.layer_dims[1:]]
+    def __init__(self, layer_dims: list[int], params: np.ndarray | None = None):
+        dims = list(layer_dims)
+        if len(dims) < 2 or any(d < 1 for d in dims):
+            raise ValueError(f"bad layer_dims {dims}")
+        pairs = list(zip(dims, dims[1:]))
+        n = sum((a + 1) * b for a, b in pairs)
+        if params is None:
+            params = np.zeros(n)
+        elif params.dtype != np.float64 or params.shape != (n,):
+            raise ValueError(f"need a float64 vector of length {n}, got {params.dtype} {params.shape}")
+        weights, biases, off = [], [], 0
+        for a, b in pairs:
+            weights.append(params[off : off + a * b].reshape(a, b))
+            off += a * b
+            biases.append(params[off : off + b])
+            off += b
+        self.layer_dims, self.params = dims, params
+        self.weights, self.biases = tuple(weights), tuple(biases)
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild the views over the copied vector.
+        return Mlp, (self.layer_dims, self.params)
 
     @classmethod
     def init_glorot(cls, layer_dims: list[int], rng: np.random.Generator) -> "Mlp":
         """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
         m = cls(layer_dims)
-        for i, (a, b) in enumerate(zip(layer_dims, layer_dims[1:])):
-            limit = np.sqrt(6.0 / (a + b))
-            m.weights[i] = rng.uniform(-limit, limit, size=(a, b))
+        for w in m.weights:
+            limit = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         return m
-
-    @classmethod
-    def view_of(cls, layer_dims: list[int], flat: np.ndarray) -> "Mlp":
-        """Model whose weights and biases are reshaped views of `flat`.
-
-        `flat` is a float64 vector in the canonical layout; writing to it
-        changes the model without a copy.
-        """
-        dims = list(layer_dims)
-        pairs = list(zip(dims, dims[1:]))
-        n = sum((a + 1) * b for a, b in pairs)
-        if flat.dtype != np.float64 or flat.shape != (n,):
-            raise ValueError(f"need a float64 vector of length {n}, got {flat.dtype} {flat.shape}")
-        weights, biases, off = [], [], 0
-        for a, b in pairs:
-            weights.append(flat[off : off + a * b].reshape(a, b))
-            off += a * b
-            biases.append(flat[off : off + b])
-            off += b
-        return cls(dims, weights, biases)
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def get_params(self) -> np.ndarray:
-        """Flatten weights and biases into the canonical layout."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        """A copy of the parameters in the canonical layout."""
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
-        """Load a copy of `flat` (canonical layout) as the weights and biases."""
-        m = Mlp.view_of(self.layer_dims, np.array(flat, dtype=np.float64))
-        self.weights, self.biases = m.weights, m.biases
+        """Write `flat` (canonical layout) into the parameters in place."""
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self.params.shape:
+            raise ValueError(f"need {self.params.shape[0]} parameters, got shape {flat.shape}")
+        self.params[...] = flat
 
     def copy(self) -> "Mlp":
-        m = Mlp(list(self.layer_dims))
-        m.weights = [w.copy() for w in self.weights]
-        m.biases = [b.copy() for b in self.biases]
-        return m
+        return Mlp(self.layer_dims, self.params.copy())
 
 
 def forward(model: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
@@ -97,12 +84,6 @@ def forward(model: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     if cache is not None:
         cache["acts"] = acts
     return h
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -125,26 +106,22 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
 def backward(model: Mlp, cache: dict, d_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backprop `d_logits` through the cached forward pass.
 
-    Returns (flat gradients in ParamVector layout, gradient w.r.t. inputs).
+    Returns (flat gradients in the canonical layout, gradient w.r.t. inputs).
     """
     if "acts" not in cache:
         raise ValueError("missing forward cache")
     acts = cache["acts"]
     if len(acts) != len(model.weights) + 1:
         raise ValueError("stale forward cache")
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    grads = [None] * (2 * len(model.weights))  # w0, b0, w1, b1, ...: the canonical layout
     delta = np.atleast_2d(d_logits)
     for i in reversed(range(len(model.weights))):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads[2 * i] = (acts[i].T @ delta).ravel()
+        grads[2 * i + 1] = delta.sum(axis=0)
         delta = delta @ model.weights[i].T
         if i > 0:
             delta = delta * (acts[i] > 0.0)
-    flat = np.concatenate(
-        [np.concatenate([w.ravel(), b.ravel()]) for w, b in zip(grads_w, grads_b)]
-    )
-    return flat, delta
+    return np.concatenate(grads), delta
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
@@ -153,24 +130,3 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     if params.shape != grads.shape:
         raise ValueError("params/grads length mismatch")
     return params - lr * grads
-
-
-def proximal_cross_entropy(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    params: np.ndarray,
-    global_params: np.ndarray,
-    mu: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy plus (mu/2)*||params - global||^2.
-
-    Returns (loss, dLogits, extra flat gradient term mu*(params - global)).
-    """
-    params = np.asarray(params, dtype=np.float64)
-    global_params = np.asarray(global_params, dtype=np.float64)
-    if params.shape != global_params.shape:
-        raise ValueError("params/global_params length mismatch")
-    loss, d_logits = cross_entropy_loss(logits, labels)
-    diff = params - global_params
-    loss += 0.5 * mu * float(diff @ diff)
-    return loss, d_logits, mu * diff

@@ -66,6 +66,17 @@ class ExperimentConfig:
             raise ValueError("lr must be finite and > 0")
         if not (0.0 < self.split_ratio < 1.0):
             raise ValueError("split_ratio outside (0, 1)")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError("hidden_dims must all be >= 1")
+        if self.n_classes < 2:
+            raise ValueError("n_classes must be >= 2")
+        if not self.dirichlet_alpha > 0.0:
+            raise ValueError("dirichlet_alpha must be > 0")
+        if self.cda_depth < 0:
+            raise ValueError("cda_depth must be >= 0")
+        for key in ("seed_data", "seed_init", "seed_agent", "seed_sampling"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
         if self.aggregation not in STRATEGIES:
             raise ValueError(f"aggregation must be one of {STRATEGIES}")
         if self.action_strategy not in ACTION_STRATEGIES:
@@ -85,13 +96,7 @@ class RoundRecord:
     aggregation: str
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "sampled": self.sampled,
-            "client_metrics": self.client_metrics,
-            "optimized": self.optimized,
-            "aggregation": self.aggregation,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -160,7 +165,7 @@ def client_local_train(
     if len(y) == 0:
         raise ValueError("empty training subset")
     params = np.array(w_init, dtype=np.float64)
-    model = Mlp.view_of(arch, params)
+    model = Mlp(arch, params)
     for _ in range(epochs):
         for batch in _batches(len(y), batch_size, rng):
             cache: dict = {}
@@ -174,9 +179,7 @@ def client_local_train(
 
 
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    model = Mlp(list(arch))
-    model.set_params(params)
-    loss, _ = cross_entropy_loss(forward(model, x), y)
+    loss, _ = cross_entropy_loss(forward(Mlp(arch, params), x), y)
     return loss
 
 
@@ -206,7 +209,7 @@ def post_fl_finetune(
     for epoch in range(1, max_epochs + 1):
         params = client_local_train(arch, params, x_train, y_train, 1, batch_size, lr, rng)
         _require_finite(f"fine-tune epoch {epoch}", parameters=params)
-        acc = accuracy(evaluate(Mlp.view_of(arch, params), x_val, y_val))
+        acc = accuracy(evaluate(Mlp(arch, params), x_val, y_val))
         trace.append({"epoch": epoch, "val_accuracy": acc})
         if acc > best_acc + 1e-4:
             best_acc, best_params, stale = acc, params, 0
@@ -220,10 +223,11 @@ def post_fl_finetune(
 class _OptimizedClient:
     """Per-round RL pipeline owned by the optimized client."""
 
-    def __init__(self, cfg: ExperimentConfig, n_classes: int):
+    def __init__(self, cfg: ExperimentConfig, arch: list[int]):
         self.cfg = cfg
+        self.arch = arch
         rng = np.random.default_rng(cfg.seed_agent)
-        self.ac = ActorCritic(n_classes, cfg.agent, rng)
+        self.ac = ActorCritic(arch[-1], cfg.agent, rng)
         self.buffer = ReplayBuffer(cfg.agent.buffer_capacity, _derived_seed(cfg.seed_agent, 1))
         self.rng = np.random.default_rng(_derived_seed(cfg.seed_agent, 2))
         self.history = LossHistory()
@@ -243,14 +247,9 @@ class _OptimizedClient:
         cfg = self.cfg.agent
         if len(self.buffer) < cfg.batch_size:
             return
-        if cfg.n_step > 1:
-            slices = self.buffer.sample_slices(cfg.batch_size, cfg.n_step, cfg.gamma)
-            agent_mod.critic_update_nstep(self.ac, slices, cfg)
-            batch = [Transition(s, a, g, ns, term) for s, a, g, ns, term, _ in slices]
-        else:
-            batch = self.buffer.sample(cfg.batch_size)
-            agent_mod.critic_update(self.ac, batch, cfg)
-        agent_mod.actor_update(self.ac, batch, cfg)
+        batch = self.buffer.sample_slices(cfg.batch_size, cfg.n_step, cfg.gamma)
+        agent_mod.critic_update(self.ac, batch, cfg)
+        agent_mod.actor_update(self.ac, batch[0], cfg)
         agent_mod.soft_update(self.ac, cfg.soft_update_tau)
 
     def _explore_action(self, raw: np.ndarray, state: StateVector, part, t: int) -> np.ndarray:
@@ -265,7 +264,8 @@ class _OptimizedClient:
         """Full optimized-client round; returns (params, record fragment)."""
         cfg = self.cfg
         arch = self.arch
-        xt, yt = x[part.all_train_indices()], y[part.all_train_indices()]
+        idx = part.all_train_indices()
+        xt, yt = x[idx], y[idx]
         state, l_agg = compute_state(w_global, arch, xt, yt, t)
         self._complete_pending(state)
         self.state_log[t] = state
@@ -276,12 +276,11 @@ class _OptimizedClient:
             raw = agent_mod.policy_action(self.ac, state)
             explore = self._explore_action(raw, state, part, t)
             eps = cfg.agent.epsilon_at(t, cfg.rounds)
-            fractions = agent_mod.epsilon_greedy_select(explore, self.ac, state, eps, self.rng)
+            fractions = agent_mod.epsilon_greedy_select(explore, raw, eps, self.rng)
         where = f"round {t}: client {part.client_id}"
         _require_finite(where, fractions=fractions)
 
-        sub = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed_data, 41, t))
-        sel = sub.all_indices()
+        sel = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed_data, 41, t))
         train_rng = np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, part.client_id))
         prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
         w_new = client_local_train(
@@ -341,14 +340,11 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     ]
     arch = [ds.features.shape[1], *cfg.hidden_dims, ds.n_classes]
     init_rng = np.random.default_rng(cfg.seed_init)
-    global_params = Mlp.init_glorot(arch, init_rng).get_params()
+    global_params = Mlp.init_glorot(arch, init_rng).params
     server = ServerState(global_params)
     rng_sampling = np.random.default_rng(cfg.seed_sampling)
 
-    opt = None
-    if cfg.optimized_client is not None:
-        opt = _OptimizedClient(cfg, ds.n_classes)
-        opt.arch = arch
+    opt = None if cfg.optimized_client is None else _OptimizedClient(cfg, arch)
 
     x, y = ds.features, ds.labels
     # Per-round evaluation covers every client with validation rows at once:
@@ -357,7 +353,6 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     val_rows = np.concatenate([p.val_indices for p in val_parts] or [np.empty(0, np.int64)])
     val_slots = np.repeat(np.arange(len(val_parts)), [len(p.val_indices) for p in val_parts])
     val_y = y[val_rows]
-    eval_model = Mlp(list(arch))
     records: list[RoundRecord] = []
     client_params: dict[int, np.ndarray] = {}
 
@@ -390,8 +385,8 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         )
         _require_finite(f"round {t}: server", parameters=server.global_params)
 
-        eval_model.set_params(server.global_params)
-        cms = evaluate(eval_model, x, val_y, val_rows, val_slots, len(val_parts))
+        cms = evaluate(Mlp(arch, server.global_params), x, val_y, val_rows, val_slots,
+                       len(val_parts))
         p, r, f1 = (m.mean(axis=-1) for m in class_prf1(cms))
         client_metrics = [
             {

@@ -69,10 +69,13 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
     u = sign * np.exp(coef[0])
     v = coef[1]
     for _ in range(max_iter):
-        e = np.exp(-v * t)
-        pred = -u * e
-        r = pred - y
-        jac = np.column_stack([-e, u * t * e])
+        # An iterate that overflows cannot recover: stop before lstsq sees it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(-v * t)
+            r = -u * e - y
+            jac = np.column_stack([-e, u * t * e])
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+            return ExpFit(fit_valid=False)
         try:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:
@@ -81,7 +84,8 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
         v += step[1]
         if np.max(np.abs(step)) < 1e-12:
             break
-    residual = float(np.linalg.norm(-u * np.exp(-v * t) - y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(-u * np.exp(-v * t) - y))
     if not np.isfinite(residual):
         return ExpFit(fit_valid=False)
     return ExpFit(float(u), float(v), True, residual)

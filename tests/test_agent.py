@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from fedopt.agent import (
     weighted_metric_action,
 )
 from fedopt.metrics import StateVector
+from fedopt.nn import backward, forward, sgd_step
+from fedopt.orchestrator import ExperimentConfig, _OptimizedClient
 
 
 def make_ac(n_classes=3, seed=0, **overrides):
@@ -25,17 +29,19 @@ def make_ac(n_classes=3, seed=0, **overrides):
 
 
 def random_batch(n, n_classes, seed=0, terminal=False):
+    """One-step batch as `ReplayBuffer.sample_slices` stacks it."""
     rng = np.random.default_rng(seed)
-    return [
-        Transition(
-            rng.uniform(0, 1, n_classes),
-            rng.uniform(0.1, 1.0, n_classes),
-            rng.normal(),
-            rng.uniform(0, 1, n_classes),
-            terminal,
-        )
+    rows = [
+        (rng.uniform(0, 1, n_classes), rng.uniform(0.1, 1.0, n_classes), rng.normal(),
+         rng.uniform(0, 1, n_classes))
         for _ in range(n)
     ]
+    states, actions, rewards, next_states = (np.array(col) for col in zip(*rows))
+    return states, actions, rewards, next_states, np.full(n, float(terminal)), np.ones(n)
+
+
+def empty_batch(n_classes=3):
+    return tuple(a[:0] for a in random_batch(1, n_classes))
 
 
 class TestPolicyAction:
@@ -125,30 +131,35 @@ class TestWeightedMetricAction:
 
 class TestEpsilonGreedy:
     def test_epsilon_one_always_explores(self):
-        ac = make_ac()
         explore = np.array([0.5, 0.5, 0.5])
-        s = StateVector(np.zeros(3))
+        greedy = np.array([0.2, 0.3, 0.4])
         rng = np.random.default_rng(0)
         for _ in range(20):
-            np.testing.assert_array_equal(epsilon_greedy_select(explore, ac, s, 1.0, rng), explore)
+            np.testing.assert_array_equal(epsilon_greedy_select(explore, greedy, 1.0, rng),
+                                          explore)
 
     def test_epsilon_zero_always_greedy(self):
         ac = make_ac()
-        s = StateVector(np.zeros(3))
+        greedy = policy_action(ac, StateVector(np.zeros(3)))
         rng = np.random.default_rng(0)
-        greedy = policy_action(ac, s)
         for _ in range(20):
-            np.testing.assert_array_equal(epsilon_greedy_select(np.ones(3), ac, s, 0.0, rng), greedy)
+            assert epsilon_greedy_select(np.ones(3), greedy, 0.0, rng) is greedy
 
     def test_monte_carlo_frequency(self):
-        ac = make_ac()
-        s = StateVector(np.zeros(3))
         explore = np.full(3, 0.123)
+        greedy = np.full(3, 0.5)
         rng = np.random.default_rng(42)
         hits = sum(
-            epsilon_greedy_select(explore, ac, s, 0.3, rng)[0] == 0.123 for _ in range(10_000)
+            epsilon_greedy_select(explore, greedy, 0.3, rng)[0] == 0.123 for _ in range(10_000)
         )
         assert 0.28 <= hits / 10_000 <= 0.32
+
+    def test_draws_one_number_per_call(self):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for eps in (0.0, 0.5, 1.0):
+            epsilon_greedy_select(np.ones(3), np.zeros(3), eps, rng)
+            ref.random()
+        assert rng.random() == ref.random()
 
 
 class TestCriticUpdate:
@@ -163,7 +174,7 @@ class TestCriticUpdate:
 
     def test_tiny_gamma_matches_terminal(self):
         batch_t = random_batch(8, 3, seed=4, terminal=True)
-        batch_n = [Transition(b.state, b.action, b.reward, b.next_state, False) for b in batch_t]
+        batch_n = random_batch(8, 3, seed=4, terminal=False)
         ac1 = make_ac(seed=6, gamma=1e-15)
         ac2 = make_ac(seed=6, gamma=1e-15)
         critic_update(ac1, batch_t, ac1.cfg)
@@ -179,7 +190,14 @@ class TestCriticUpdate:
     def test_empty_batch(self):
         ac = make_ac()
         with pytest.raises(ValueError):
-            critic_update(ac, [], ac.cfg)
+            critic_update(ac, empty_batch(), ac.cfg)
+
+    def test_updates_critic_in_place(self):
+        ac = make_ac(seed=7)
+        params = ac.critic.params
+        before = params.copy()
+        critic_update(ac, random_batch(8, 3, seed=8), ac.cfg)
+        assert ac.critic.params is params and not np.array_equal(params, before)
 
 
 class TestActorUpdate:
@@ -187,7 +205,7 @@ class TestActorUpdate:
         ac = make_ac(seed=9)
         ac.critic.set_params(np.zeros(ac.critic.n_params))
         before = ac.actor.get_params()
-        actor_update(ac, random_batch(8, 3, seed=10), ac.cfg)
+        actor_update(ac, random_batch(8, 3, seed=10)[0], ac.cfg)
         np.testing.assert_array_equal(ac.actor.get_params(), before)
 
     def test_moves_toward_critic_peak(self):
@@ -205,10 +223,11 @@ class TestActorUpdate:
             b1[2 * c + 1] = target[c]
             w2[2 * c, 0] = -1.0
             w2[2 * c + 1, 0] = -1.0
-        ac.critic.weights, ac.critic.biases = [w1, w2], [b1, np.zeros(1)]
+        ac.critic.weights[0][...], ac.critic.weights[1][...] = w1, w2
+        ac.critic.biases[0][...], ac.critic.biases[1][...] = b1, 0.0
         ac.critic_target = ac.critic.copy()
         state = np.array([0.5, 0.5])
-        batch = [Transition(state, target, 0.0, state)]
+        batch = state[None, :]
         dists = []
         for _ in range(100):
             a = policy_action(ac, StateVector(state))
@@ -219,7 +238,7 @@ class TestActorUpdate:
 
     def test_bounds_preserved(self):
         ac = make_ac(seed=12, actor_lr=1.0, b_l=0.2, b_u=0.9)
-        batch = random_batch(8, 3, seed=13)
+        batch = random_batch(8, 3, seed=13)[0]
         for _ in range(20):
             actor_update(ac, batch, ac.cfg)
         a = policy_action(ac, StateVector(np.zeros(3)))
@@ -228,7 +247,14 @@ class TestActorUpdate:
     def test_empty_batch(self):
         ac = make_ac()
         with pytest.raises(ValueError):
-            actor_update(ac, [], ac.cfg)
+            actor_update(ac, np.empty((0, 3)), ac.cfg)
+
+    def test_updates_actor_in_place(self):
+        ac = make_ac(seed=12)
+        params = ac.actor.params
+        before = params.copy()
+        actor_update(ac, random_batch(8, 3, seed=13)[0], ac.cfg)
+        assert ac.actor.params is params and not np.array_equal(params, before)
 
 
 class TestSoftUpdate:
@@ -260,6 +286,16 @@ class TestSoftUpdate:
         with pytest.raises(ValueError):
             soft_update(make_ac(), 0.0)
 
+    def test_updates_targets_in_place(self):
+        ac = make_ac(seed=17)
+        ac.actor.params[...] = 1.0
+        targets = (ac.actor_target.params, ac.critic_target.params)
+        before = [t.copy() for t in targets]
+        soft_update(ac, 0.5)
+        assert ac.actor_target.params is targets[0] and ac.critic_target.params is targets[1]
+        np.testing.assert_array_equal(targets[0], 0.5 * 1.0 + 0.5 * before[0])
+        np.testing.assert_array_equal(targets[1], 0.5 * ac.critic.params + 0.5 * before[1])
+
 
 class TestReplayBuffer:
     @given(ops=st.lists(st.integers(0, 99), min_size=1, max_size=60))
@@ -281,21 +317,139 @@ class TestReplayBuffer:
             buf = ReplayBuffer(50, seed=seed)
             for i in range(20):
                 buf.push(Transition(np.array([float(i)]), np.ones(1), 0.0, np.zeros(1)))
-            return [t.state[0] for t in buf.sample(8)]
+            return buf.sample_slices(8, 1, 0.9)[0][:, 0].tolist()
 
         assert fill(3) == fill(3)
+        assert len(set(fill(3))) == 8  # distinct starts
 
     def test_sample_empty(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(5).sample(1)
+            ReplayBuffer(5).sample_slices(1, 1, 0.9)
+
+    def test_one_step_slices_are_the_stored_transitions(self):
+        buf = ReplayBuffer(50, seed=1)
+        for i in range(12):
+            buf.push(Transition(np.array([float(i), 0.5]), np.full(2, i / 20), i - 5.5,
+                                np.array([i + 1.0, 0.5]), i == 4))
+        states, actions, returns, boots, terminal, steps = buf.sample_slices(32, 1, 0.9)
+        assert states.shape == (12, 2) and actions.shape == (12, 2) and boots.shape == (12, 2)
+        for s, a, g, ns, term, k in zip(states, actions, returns, boots, terminal, steps):
+            tr = buf._items[int(s[0])]
+            assert (a == tr.action).all() and (ns == tr.next_state).all()
+            assert g == tr.reward and term == float(tr.terminal) and k == 1.0
 
     def test_nstep_slices_stop_at_terminal(self):
         buf = ReplayBuffer(10, seed=0)
         for i in range(5):
             buf.push(Transition(np.array([float(i)]), np.ones(1), 1.0, np.array([float(i + 1)]), i == 2))
         slices = buf.sample_slices(5, n_step=3, gamma=0.5)
-        for s, a, g, ns, term, steps in slices:
+        for s, a, g, ns, term, steps in zip(*slices):
             start = int(s[0])
             assert steps <= 3
             if start <= 2:
                 assert steps <= 3 - start or steps == 3
+
+    def test_nstep_slices_hand_values(self):
+        # rewards 1, gamma 0.5, transition 2 terminal, 5 transitions
+        buf = ReplayBuffer(10, seed=0)
+        for i in range(5):
+            buf.push(Transition(np.array([float(i)]), np.ones(1), 1.0, np.array([float(i + 1)]),
+                                i == 2))
+        states, _, returns, boots, terminal, steps = buf.sample_slices(5, n_step=3, gamma=0.5)
+        expected = {  # start -> (return, bootstrap state, terminal, steps)
+            0: (1.75, 3.0, 1.0, 3.0), 1: (1.5, 3.0, 1.0, 2.0), 2: (1.0, 3.0, 1.0, 1.0),
+            3: (1.5, 5.0, 0.0, 2.0), 4: (1.0, 5.0, 0.0, 1.0),
+        }
+        got = {int(s[0]): (g, b[0], t, k) for s, g, b, t, k in
+               zip(states, returns, boots, terminal, steps)}
+        assert got == expected
+
+
+class _CopyingReference:
+    """The agent update as a copying loop: every network goes through
+    get_params/set_params, the one-step batch is a list of Transitions
+    stacked per field, and n-step slices are built as a list of tuples."""
+
+    def __init__(self, ac, items, rng, cfg):
+        self.ac, self.items, self.rng, self.cfg = ac, items, rng, cfg
+
+    def sample(self):
+        n = len(self.items)
+        return self.rng.choice(n, size=min(self.cfg.batch_size, n), replace=False)
+
+    def batch(self):
+        cfg, items = self.cfg, self.items
+        starts = self.sample()
+        if cfg.n_step == 1:
+            batch = [items[i] for i in starts]
+            return (np.stack([tr.state for tr in batch]), np.stack([tr.action for tr in batch]),
+                    np.array([tr.reward for tr in batch]),
+                    np.stack([tr.next_state for tr in batch]),
+                    np.array([tr.terminal for tr in batch], dtype=np.float64),
+                    np.ones(len(batch)))
+        slices = []
+        for i in starts:
+            g, steps, last = 0.0, 0, items[i]
+            for k in range(cfg.n_step):
+                if i + k >= len(items):
+                    break
+                last = items[i + k]
+                g += cfg.gamma**k * last.reward
+                steps += 1
+                if last.terminal:
+                    break
+            slices.append((items[i].state, items[i].action, g, last.next_state, last.terminal,
+                           steps))
+        return (np.stack([sl[0] for sl in slices]), np.stack([sl[1] for sl in slices]),
+                np.array([sl[2] for sl in slices]), np.stack([sl[3] for sl in slices]),
+                np.array([sl[4] for sl in slices], dtype=np.float64),
+                np.array([sl[5] for sl in slices], dtype=np.float64))
+
+    def learn(self):
+        ac, cfg = self.ac, self.cfg
+        states, actions, returns, boots, terminal, steps = self.batch()
+        next_a = ac._act(ac.actor_target, boots)
+        q_next = forward(ac.critic_target, np.hstack([boots, next_a]))[:, 0]
+        target = returns + (cfg.gamma**steps) * (1.0 - terminal) * q_next
+        cache = {}
+        err = forward(ac.critic, np.hstack([states, actions]), cache)[:, 0] - target
+        grads, _ = backward(ac.critic, cache, (2.0 * err / len(err))[:, None])
+        ac.critic.set_params(sgd_step(ac.critic.get_params(), grads, cfg.critic_lr))
+
+        actor_cache, critic_cache = {}, {}
+        sig = 0.5 * (1.0 + np.tanh(0.5 * forward(ac.actor, states, actor_cache)))
+        acts = cfg.b_l + (cfg.b_u - cfg.b_l) * sig
+        forward(ac.critic, np.hstack([states, acts]), critic_cache)
+        _, d_in = backward(ac.critic, critic_cache, np.full((len(states), 1), 1.0 / len(states)))
+        d_raw = d_in[:, ac.n_classes:] * (cfg.b_u - cfg.b_l) * sig * (1.0 - sig)
+        grads, _ = backward(ac.actor, actor_cache, d_raw)
+        ac.actor.set_params(sgd_step(ac.actor.get_params(), grads, -cfg.actor_lr))
+
+        tau = cfg.soft_update_tau
+        for online, tgt in ((ac.actor, ac.actor_target), (ac.critic, ac.critic_target)):
+            tgt.set_params(tau * online.get_params() + (1.0 - tau) * tgt.get_params())
+
+
+@pytest.mark.parametrize("n_step", [1, 3])
+def test_learn_matches_copying_reference(n_step):
+    cfg = ExperimentConfig(n_classes=3, seed_agent=4)
+    cfg.agent = AgentConfig(n_step=n_step, batch_size=8, buffer_capacity=30, hidden=6,
+                            actor_lr=0.05, critic_lr=0.05, soft_update_tau=0.1)
+    opt = _OptimizedClient(cfg, [5, 4, 3])
+    ref_ac = copy.deepcopy(opt.ac)
+    ref = _CopyingReference(ref_ac, [], copy.deepcopy(opt.buffer._rng), cfg.agent)
+    init = opt.ac.actor.get_params()
+    rng = np.random.default_rng(11)
+    updates = 0
+    for i in range(48):
+        tr = Transition(rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
+                        rng.uniform(0, 1, 3), i % 9 == 8)
+        opt.buffer.push(tr)
+        ref.items = (ref.items + [tr])[-cfg.agent.buffer_capacity:]
+        opt._learn()
+        if len(ref.items) >= cfg.agent.batch_size:
+            ref.learn()
+            updates += 1
+        for net in ("actor", "critic", "actor_target", "critic_target"):
+            assert np.array_equal(getattr(opt.ac, net).params, getattr(ref_ac, net).params), net
+    assert updates == 41 and not np.array_equal(opt.ac.actor.params, init)

@@ -77,6 +77,27 @@ class TestParseConfig:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line,key", [
+        ("agent.batch_size = 0", "batch_size"), ("agent.hidden = 0", "hidden"),
+        ("hidden_dims = 0", "hidden_dims"), ("hidden_dims = 8,0", "hidden_dims"),
+        ("n_classes = 1", "n_classes"), ("dirichlet_alpha = 0", "dirichlet_alpha"),
+        ("cda_depth = -1", "cda_depth"), ("seed_data = -1", "seed_data"),
+        ("seed_sampling = -1", "seed_sampling"),
+    ])
+    def test_values_that_fail_at_run_time_are_rejected(self, tmp_path, line, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(str(path))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, caplog):
+        assert main(["run", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert "seed_data must be >= 0" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(rounds=12, optimized_client=None, hidden_dims=[16, 8])
         cfg.agent.epsilon_decay = 0.05

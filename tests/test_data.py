@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,25 +100,40 @@ class TestActionPartition:
         ds = generate_synthetic(3, 40, 2, 1.0, seed=seed)
         return train_val_split(dirichlet_partition(ds, 1, 1.0, seed)[0], 0.8, seed)
 
+    @staticmethod
+    def _per_class(kept, p):
+        return [kept[np.isin(kept, idx)] for idx in p.train_indices_by_class]
+
     def test_all_ones_identity(self):
         p = self._split_part()
-        sub = action_partition(p, np.ones(3), seed=0)
-        for sel, full in zip(sub.selected_indices_by_class, p.train_indices_by_class):
-            np.testing.assert_array_equal(sel, full)
+        kept = action_partition(p, np.ones(3), seed=0)
+        np.testing.assert_array_equal(kept, p.all_train_indices())
+        assert kept.dtype == np.int64
 
     def test_half_fraction_counts_and_subset(self):
         p = self._split_part()
         p.train_indices_by_class[0] = p.train_indices_by_class[0][:10]
-        sub = action_partition(p, np.array([0.5, 1.0, 1.0]), seed=1)
-        assert len(sub.selected_indices_by_class[0]) == 5
-        assert set(sub.selected_indices_by_class[0]) <= set(p.train_indices_by_class[0])
+        kept = action_partition(p, np.array([0.5, 1.0, 1.0]), seed=1)
+        first = self._per_class(kept, p)[0]
+        assert len(first) == 5
+        assert set(first) <= set(p.train_indices_by_class[0])
+        # class order kept, each class sorted, full classes unchanged
+        np.testing.assert_array_equal(kept, np.concatenate(
+            [first, p.train_indices_by_class[1], p.train_indices_by_class[2]]))
+        assert np.all(np.diff(first) > 0)
+
+    def test_empty_class_is_skipped(self):
+        p = self._split_part()
+        p.train_indices_by_class[1] = np.empty(0, dtype=np.int64)
+        kept = action_partition(p, np.full(3, 0.5), seed=2)
+        assert [len(k) for k in self._per_class(kept, p)] == [
+            max(1, len(ix) // 2) if len(ix) else 0 for ix in p.train_indices_by_class]
 
     def test_seed_determinism(self):
         p = self._split_part()
         a = action_partition(p, np.full(3, 0.4), seed=5)
         b = action_partition(p, np.full(3, 0.4), seed=5)
-        for s1, s2 in zip(a.selected_indices_by_class, b.selected_indices_by_class):
-            np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(a, b)
 
     def test_fraction_out_of_range(self):
         p = self._split_part()
@@ -132,7 +149,7 @@ class TestActionPartition:
         p = self._split_part(seed=3)
         a = action_partition(p, np.full(3, lo), seed=0)
         b = action_partition(p, np.full(3, hi), seed=0)
-        for sa, sb in zip(a.selected_indices_by_class, b.selected_indices_by_class):
+        for sa, sb in zip(self._per_class(a, p), self._per_class(b, p)):
             assert len(sa) <= len(sb)
 
 
@@ -143,3 +160,30 @@ def test_load_csv(tmp_path):
     assert ds.features.shape == (3, 2)
     assert ds.n_classes == 2
     np.testing.assert_array_equal(ds.labels, [0, 1, 1])
+
+
+@pytest.mark.parametrize("text,match", [
+    ("1.0,2.0,0\n3.0,4.0,-1\n", r"data row 2: label -1.0 "),
+    ("1.0,2.0,1.5\n3.0,4.0,1\n", r"data row 1: label 1.5 "),
+    ("1.0,2.0,0\n3.0,4.0,nan\n", r"data row 2: label nan "),
+    ("", r"no data rows"),
+])
+def test_load_csv_rejects_bad_labels_and_empty_files(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match) as info:
+            load_csv(str(path))
+    assert str(path) in str(info.value)
+
+
+def test_run_with_bad_csv_exits_3(tmp_path):
+    from fedopt.cli import main
+
+    data = tmp_path / "bad.csv"
+    data.write_text("1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,-1\n")
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(f"dataset_csv = {data}\nrounds = 2\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()

@@ -82,7 +82,7 @@ class TestComputeState:
         # weight matrix picks out a one-hot feature per class
         arch = [2, 2]
         m = Mlp(arch)
-        m.weights[0] = np.eye(2) * 10
+        m.weights[0][...] = np.eye(2) * 10
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
         s, _ = compute_state(m.get_params(), arch, x, y)
@@ -91,7 +91,7 @@ class TestComputeState:
     def test_constant_prediction_balanced(self):
         arch = [2, 2]
         m = Mlp(arch)
-        m.biases[0] = np.array([1.0, 0.0])  # always predicts class 0
+        m.biases[0][...] = [1.0, 0.0]  # always predicts class 0
         x = np.zeros((4, 2))
         y = np.array([0, 0, 1, 1])
         s, _ = compute_state(m.get_params(), arch, x, y)

@@ -1,15 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from fedopt.nn import (
-    Mlp,
-    backward,
-    cross_entropy_loss,
-    forward,
-    proximal_cross_entropy,
-    sgd_step,
-    softmax,
-)
+from fedopt.nn import Mlp, backward, cross_entropy_loss, forward, sgd_step
 
 
 def numeric_param_grad(model, x, y, h=1e-5):
@@ -52,7 +47,7 @@ class TestForward:
 
     def test_identity_layer(self):
         m = Mlp([2, 2])
-        m.weights[0] = np.eye(2)
+        m.weights[0][...] = np.eye(2)
         np.testing.assert_array_equal(forward(m, np.array([[1.0, 0.0]])), [[1.0, 0.0]])
 
     def test_dim_mismatch(self):
@@ -79,19 +74,92 @@ class TestParamVector:
             Mlp([2, 2]).set_params(np.zeros(3))
 
     def test_view_of_shares_memory_with_flat(self):
+        # Mlp(dims, flat) is a view of flat: no copy is made
         dims = [3, 4, 2]
         flat = Mlp.init_glorot(dims, np.random.default_rng(0)).get_params()
-        m = Mlp.view_of(dims, flat)
+        m = Mlp(dims, flat)
+        assert m.params is flat
         np.testing.assert_array_equal(m.get_params(), flat)
         flat[...] = 0.5
         # each hidden unit is 0.5, so each logit is 4 * 0.5 * 0.5 + 0.5
         assert np.all(forward(m, np.zeros((1, 3))) == 1.5)
         assert all(np.shares_memory(a, flat) for a in m.weights + m.biases)
 
-    @pytest.mark.parametrize("flat", [np.zeros(3), np.zeros(6, dtype=np.float32)])
+    @pytest.mark.parametrize("flat", [np.zeros(3), np.zeros(6, dtype=np.float32), np.zeros(7),
+                                      np.zeros(6, dtype=np.int64), np.zeros((2, 3))])
     def test_view_of_rejects_wrong_length_or_dtype(self, flat):
         with pytest.raises(ValueError):
-            Mlp.view_of([2, 2], flat)
+            Mlp([2, 2], flat)
+
+    def test_set_params_writes_in_place(self):
+        m = Mlp([2, 3, 2])
+        params = m.params
+        m.set_params(np.arange(m.n_params, dtype=np.float32))
+        assert m.params is params and m.params.dtype == np.float64
+        np.testing.assert_array_equal(m.get_params(), np.arange(m.n_params))
+        assert not np.shares_memory(m.get_params(), m.params)
+
+
+def _constructed(dims):
+    """One model per constructor: zeros, Glorot, copy, and an existing vector."""
+    glorot = Mlp.init_glorot(dims, np.random.default_rng(0))
+    return {
+        "zeros": Mlp(dims),
+        "glorot": glorot,
+        "copy": glorot.copy(),
+        "vector": Mlp(dims, np.arange(Mlp(dims).n_params, dtype=np.float64)),
+    }
+
+
+class TestLayout:
+    @pytest.mark.parametrize("dims", [[3, 4, 2], [5, 5], [2, 3, 4, 2]])
+    @pytest.mark.parametrize("how", ["zeros", "glorot", "copy", "vector"])
+    def test_weights_and_biases_are_views_of_params(self, dims, how):
+        m = _constructed(dims)[how]
+        assert m.params.dtype == np.float64 and m.params.shape == (m.n_params,)
+        assert all(np.shares_memory(a, m.params) for a in m.weights + m.biases)
+        assert [w.shape for w in m.weights] == list(zip(dims, dims[1:]))
+        assert [b.shape for b in m.biases] == [(b,) for b in dims[1:]]
+        m.params[...] = 0.5
+        assert all(np.all(a == 0.5) for a in m.weights + m.biases)
+
+    def test_copy_shares_no_memory_with_source(self):
+        src = Mlp.init_glorot([3, 4, 2], np.random.default_rng(1))
+        dup = src.copy()
+        np.testing.assert_array_equal(dup.params, src.params)
+        assert not any(
+            np.shares_memory(a, b) for a in (dup.params, *dup.weights, *dup.biases)
+            for b in (src.params, *src.weights, *src.biases)
+        )
+        dup.params[...] = 0.0
+        assert np.any(src.params != 0.0)
+
+    def test_glorot_draws_in_layer_order(self):
+        dims = [3, 4, 2]
+        rng = np.random.default_rng(2)
+        expected = []
+        for a, b in zip(dims, dims[1:]):
+            limit = np.sqrt(6.0 / (a + b))
+            expected += [rng.uniform(-limit, limit, size=(a, b)).ravel(), np.zeros(b)]
+        m = Mlp.init_glorot(dims, np.random.default_rng(2))
+        np.testing.assert_array_equal(m.params, np.concatenate(expected))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_deepcopy_and_pickle_rebuild_the_views(self, clone):
+        src = Mlp.init_glorot([3, 4, 2], np.random.default_rng(3))
+        dup = clone(src)
+        np.testing.assert_array_equal(dup.params, src.params)
+        assert not np.shares_memory(dup.params, src.params)
+        assert all(np.shares_memory(a, dup.params) for a in dup.weights + dup.biases)
+
+    @pytest.mark.parametrize("how", ["zeros", "glorot", "copy", "vector"])
+    def test_assigning_a_layer_raises(self, how):
+        m = _constructed([2, 3, 2])[how]
+        with pytest.raises(TypeError):
+            m.weights[0] = np.ones((2, 3))
+        with pytest.raises(TypeError):
+            m.biases[1] = np.ones(2)
 
 
 class TestCrossEntropy:
@@ -119,9 +187,19 @@ class TestCrossEntropy:
         assert max_rel_err(d, num) < 1e-4
 
     def test_softmax_rows_sum_to_one(self):
+        # d = (softmax - onehot) / n, so d * n + onehot is the softmax
         rng = np.random.default_rng(2)
-        s = softmax(rng.normal(scale=10, size=(20, 5)))
-        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
+        logits = rng.normal(scale=10, size=(20, 5))
+        labels = rng.integers(0, 5, 20)
+        _, d = cross_entropy_loss(logits, labels)
+        probs = d * 20 + np.eye(5)[labels]
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all((probs >= 0.0) & (probs <= 1.0 + 1e-12))
+
+    def test_gradient_of_uniform_logits_is_one_over_c(self):
+        labels = np.array([0, 3, 1])
+        _, d = cross_entropy_loss(np.full((3, 4), 2.5), labels)
+        np.testing.assert_allclose(d * 3 + np.eye(4)[labels], 0.25, atol=1e-15)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
@@ -182,32 +260,3 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
-
-class TestProximal:
-    def test_mu_zero_is_plain_ce(self):
-        logits = np.array([[1.0, -1.0]])
-        labels = np.array([0])
-        params = np.array([1.0, 2.0])
-        plain, d_plain = cross_entropy_loss(logits, labels)
-        loss, d, extra = proximal_cross_entropy(logits, labels, params, np.zeros(2), 0.0)
-        assert loss == plain
-        np.testing.assert_array_equal(d, d_plain)
-        assert np.all(extra == 0.0)
-
-    def test_equal_params_zero_term(self):
-        p = np.array([1.0, 2.0])
-        loss, _, extra = proximal_cross_entropy(np.zeros((1, 2)), [0], p, p, 5.0)
-        assert loss == pytest.approx(np.log(2))
-        assert np.all(extra == 0.0)
-
-    def test_hand_term(self):
-        params = np.array([1.0, 0.0])
-        glob = np.array([0.0, 0.0])
-        base, _ = cross_entropy_loss(np.zeros((1, 2)), [0])
-        loss, _, extra = proximal_cross_entropy(np.zeros((1, 2)), [0], params, glob, 2.0)
-        assert loss - base == pytest.approx(1.0)
-        np.testing.assert_array_equal(extra, [2.0, 0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            proximal_cross_entropy(np.zeros((1, 2)), [0], np.zeros(2), np.zeros(3), 1.0)

@@ -50,6 +50,39 @@ class TestClientLocalTrain:
         grads, _ = backward(m, cache, d)
         np.testing.assert_allclose(out, sgd_step(w, grads, 0.1), atol=1e-12)
 
+    # FedProx: local SGD on cross-entropy + (mu/2)*||w - w_global||^2.
+    # At w = [1, 1 | 0, 0] (arch [1, 2], x = [[1]]) the logits are equal, so
+    # the cross-entropy gradient for label 0 is [-0.5, 0.5 | -0.5, 0.5].
+    PROX_W = np.array([1.0, 1.0, 0.0, 0.0])
+    PROX_X, PROX_Y = np.array([[1.0]]), np.array([0])
+    PROX_CE_GRAD = np.array([-0.5, 0.5, -0.5, 0.5])
+
+    def test_prox_step_adds_mu_times_distance_to_global(self):
+        w_global = np.array([0.0, 1.0, -2.0, 0.0])
+        out = client_local_train([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
+                                 np.random.default_rng(0), 2.0, w_global)
+        # grad = CE grad + 2 * (w - w_global) = [1.5, 0.5, 3.5, 0.5]
+        expected = self.PROX_W - 0.5 * (self.PROX_CE_GRAD + 2.0 * (self.PROX_W - w_global))
+        np.testing.assert_allclose(expected, [0.25, 0.75, -1.75, -0.25], atol=1e-15)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("prox_mu,w_global", [
+        (0.0, np.array([9.0, 9.0, 9.0, 9.0])), (5.0, PROX_W), (5.0, None),
+    ], ids=["mu_zero", "global_equals_w", "no_global"])
+    def test_prox_term_vanishes(self, prox_mu, w_global):
+        # mu = 0, w_global = w, or no w_global: the step is plain cross-entropy SGD
+        out = client_local_train([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
+                                 np.random.default_rng(0), prox_mu, w_global)
+        np.testing.assert_array_equal(
+            out, client_local_train([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
+                                    np.random.default_rng(0)))
+        np.testing.assert_allclose(out, self.PROX_W - 0.5 * self.PROX_CE_GRAD, atol=1e-15)
+
+    def test_prox_global_length_mismatch(self):
+        with pytest.raises(ValueError):
+            client_local_train([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
+                               np.random.default_rng(0), 1.0, np.zeros(3))
+
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(2)
         arch = [2, 8, 2]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,28 @@ class TestFitExponential:
     def test_mixed_sign_invalid(self):
         fit = fit_exponential(history_from(range(4), [1.0, -1.0, 1.0, -1.0]))
         assert not fit.fit_valid
+
+    def test_overflowing_iterate_is_invalid_and_silent(self, capfd, monkeypatch):
+        # Loss history of the optimized client on quickstart at --seed 11216:
+        # the Gauss-Newton iterates overflow exp(-v*t).
+        losses = [0.9084324554694843, 1.1771902053062329, 0.3117775204004279,
+                  0.37221308320795093, 0.515093638513419, 0.2685196039086561,
+                  0.3182088905002319, 0.33714490231289873, 0.2653655232959669,
+                  10.116012542897106]
+        lstsq = np.linalg.lstsq
+
+        def finite_lstsq(a, b, **kwargs):
+            # LAPACK prints "DLASCL ... illegal value" on a non-finite input
+            assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+            return lstsq(a, b, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", finite_lstsq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_exponential(history_from(range(10), losses))
+        assert not fit.fit_valid
+        out, err = capfd.readouterr()
+        assert out == "" and err == ""
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
