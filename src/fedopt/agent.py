@@ -46,14 +46,22 @@ class AgentConfig:
     hidden: int = 32
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if not (0.0 < self.b_l <= self.b_u <= 1.0):
-            raise ValueError("need 0 < b_l <= b_u <= 1")
+            raise ValueError("need 0 < agent.b_l <= agent.b_u <= 1")
         if self.eta < 1 or self.n_step < 1:
-            raise ValueError("need eta >= 1 and n_step >= 1")
+            raise ValueError("need agent.eta >= 1 and agent.n_step >= 1")
         if self.batch_size < 1 or self.hidden < 1:
-            raise ValueError("need agent batch_size >= 1 and hidden >= 1")
+            raise ValueError("need agent.batch_size >= 1 and agent.hidden >= 1")
+        # A smaller FIFO never holds a minibatch, so the agent would never learn.
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError("agent.buffer_capacity must be >= agent.batch_size")
         if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma outside (0, 1)")
+            raise ValueError("agent.gamma outside (0, 1)")
+        if not (0.0 < self.soft_update_tau <= 1.0):
+            raise ValueError("agent.soft_update_tau outside (0, 1]")
 
     def epsilon_at(self, t: int, horizon: int) -> float:
         decay = self.epsilon_decay

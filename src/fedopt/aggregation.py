@@ -27,7 +27,6 @@ class ServerState:
     global_params: np.ndarray
     momentum_buffer: np.ndarray | None = None
     model_cache: dict[int, deque] = field(default_factory=dict)
-    round: int = 0
 
 
 def _stack(updates: list[ClientUpdate]) -> np.ndarray:
@@ -102,5 +101,4 @@ def aggregate(
     else:
         raise ValueError(f"unknown aggregation strategy {strategy!r}")
     state.global_params = new
-    state.round += 1
     return new

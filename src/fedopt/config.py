@@ -1,11 +1,16 @@
 """Flat key-value experiment config files with section prefixes.
 
 Grammar: one `key = value` pair per line, `#` starts a comment, blank
-lines ignored. Nested sections use dotted keys (`agent.gamma = 0.99`).
-Unknown keys are rejected; missing keys take documented defaults.
+lines ignored. The keys are the fields of `ExperimentConfig`, in field
+order; the fields of its `agent` and `reward` sections take a dotted
+prefix (`agent.gamma = 0.99`). Each value is parsed by its field's
+annotation. Unknown keys are rejected; missing keys take the dataclass
+defaults.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from .orchestrator import ExperimentConfig
 
@@ -14,80 +19,39 @@ class ConfigError(Exception):
     pass
 
 
-_TOP_KEYS = {
-    "n_clients": int,
-    "c_ratio": float,
-    "rounds": int,
-    "local_epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "optimized_client": "int_or_none",
-    "aggregation": str,
-    "action_strategy": str,
-    "dirichlet_alpha": float,
-    "split_ratio": float,
-    "seed_data": int,
-    "seed_init": int,
-    "seed_agent": int,
-    "seed_sampling": int,
-    "hidden_dims": "int_list",
-    "n_classes": int,
-    "n_per_class": int,
-    "feature_dim": int,
-    "spread": float,
-    "dataset_csv": "str_or_none",
-    "finetune_patience": int,
-    "finetune_max_epochs": int,
-    "prox_mu": float,
-    "fedavgm_beta": float,
-    "fedavgm_server_lr": float,
-    "cda_depth": int,
+# File spellings of fields whose name cannot be used (`lambda` is a keyword).
+_SPELLING = {"lam": "lambda"}
+
+# Annotation text -> parser; `X | None` also accepts `none` (see `_parser`).
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "list[int]": lambda text: [int(v) for v in text.split(",") if v.strip()],
 }
 
-_AGENT_KEYS = {
-    "gamma": float,
-    "actor_lr": float,
-    "critic_lr": float,
-    "soft_update_tau": float,
-    "epsilon_start": float,
-    "epsilon_end": float,
-    "epsilon_decay": "float_or_none",
-    "eta": int,
-    "b_l": float,
-    "b_u": float,
-    "buffer_capacity": int,
-    "batch_size": int,
-    "n_step": int,
-    "hidden": int,
-}
 
-_REWARD_KEYS = {"tau": int, "lambda": float, "div_guard": float}
-_REWARD_FIELD = {"tau": "tau", "lambda": "lam", "div_guard": "div_guard"}
+def _parser(annotation: str):
+    base = annotation.removesuffix(" | None")
+    parse = _PARSERS[base]
+    if base == annotation:
+        return parse
+    return lambda text: None if text.lower() == "none" else parse(text)
 
 
-def _convert(key: str, value: str, kind, line_no: int):
-    try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
-        if kind is str:
-            return value
-        if kind == "int_or_none":
-            return None if value.lower() == "none" else int(value)
-        if kind == "float_or_none":
-            return None if value.lower() == "none" else float(value)
-        if kind == "str_or_none":
-            return None if value.lower() == "none" else value
-        if kind == "int_list":
-            return [int(v) for v in value.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"line {line_no}: invalid value {value!r} for key {key!r}") from None
-    raise AssertionError(kind)
+def _keys(cfg, prefix: str = ""):
+    """(key, owner, field) for every config key, recursing into sections."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _keys(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + _SPELLING.get(f.name, f.name), cfg, f
 
 
 def parse_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
+    schema = {key: (owner, f) for key, owner, f in _keys(cfg)}
     with open(path) as fh:
         lines = fh.readlines()
     for i, raw in enumerate(lines, start=1):
@@ -97,23 +61,14 @@ def parse_config(path: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {i}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("agent."):
-            sub = key[len("agent."):]
-            if sub not in _AGENT_KEYS:
-                raise ConfigError(f"line {i}: unknown key {key!r}")
-            setattr(cfg.agent, sub, _convert(key, value, _AGENT_KEYS[sub], i))
-        elif key.startswith("reward."):
-            sub = key[len("reward."):]
-            if sub not in _REWARD_KEYS:
-                raise ConfigError(f"line {i}: unknown key {key!r}")
-            setattr(cfg.reward, _REWARD_FIELD[sub], _convert(key, value, _REWARD_KEYS[sub], i))
-        else:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"line {i}: unknown key {key!r}")
-            setattr(cfg, key, _convert(key, value, _TOP_KEYS[key], i))
+        if key not in schema:
+            raise ConfigError(f"line {i}: unknown key {key!r}")
+        owner, f = schema[key]
+        try:
+            setattr(owner, f.name, _parser(f.type)(value))
+        except ValueError:
+            raise ConfigError(f"line {i}: invalid value {value!r} for key {key!r}") from None
     try:
-        cfg.agent.__post_init__()
-        cfg.reward.__post_init__()
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -130,9 +85,4 @@ def _fmt(value) -> str:
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Serialize a fully resolved config; parse(emit(cfg)) == cfg."""
-    lines = [f"{key} = {_fmt(getattr(cfg, key))}" for key in _TOP_KEYS]
-    lines += [f"agent.{key} = {_fmt(getattr(cfg.agent, key))}" for key in _AGENT_KEYS]
-    lines += [
-        f"reward.{key} = {_fmt(getattr(cfg.reward, _REWARD_FIELD[key]))}" for key in _REWARD_KEYS
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_fmt(getattr(owner, f.name))}\n" for key, owner, f in _keys(cfg))

@@ -57,11 +57,12 @@ def generate_synthetic(
     return LabeledDataset(features, labels, n_classes)
 
 
-def load_csv(path: str, n_classes: int | None = None) -> LabeledDataset:
+def load_csv(path: str) -> LabeledDataset:
     """Header-free numeric CSV, one sample per row, integer label last.
 
     A file with no rows, or a label that is not a non-negative integer,
-    raises ValueError naming the path and the first bad row.
+    raises ValueError naming the path and the first bad row; so does a
+    file whose labels hold fewer than two classes.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
@@ -74,9 +75,9 @@ def load_csv(path: str, n_classes: int | None = None) -> LabeledDataset:
         raise ValueError(f"{path}: data row {bad[0] + 1}: label {float(col[bad[0]])} "
                          "is not a non-negative integer")
     labels = col.astype(np.int64)
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
-    return LabeledDataset(raw[:, :-1], labels, n_classes)
+    if len(np.unique(labels)) < 2:
+        raise ValueError(f"{path}: labels hold fewer than two classes")
+    return LabeledDataset(raw[:, :-1], labels, int(labels.max()) + 1)
 
 
 def dirichlet_partition(

@@ -21,7 +21,6 @@ EVAL_CHUNK = 512
 @dataclass
 class StateVector:
     f1_per_class: np.ndarray
-    round: int = 0
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.f1_per_class, dtype=np.float64)
@@ -102,7 +101,7 @@ def evaluate(
 
 
 def compute_state(
-    params: np.ndarray, arch: list[int], x: np.ndarray, y: np.ndarray, round_t: int = 0
+    params: np.ndarray, arch: list[int], x: np.ndarray, y: np.ndarray
 ) -> tuple[StateVector, float]:
     """Per-class F1 and mean cross-entropy of the model on a client's
     local training set, from one forward pass."""
@@ -111,4 +110,4 @@ def compute_state(
     logits = forward(Mlp(arch, params), x)
     loss, _ = cross_entropy_loss(logits, y)
     _, _, f1 = class_prf1(confusion(logits.argmax(axis=1), y, arch[-1]))
-    return StateVector(f1, round_t), loss
+    return StateVector(f1), loss

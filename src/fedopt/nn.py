@@ -50,21 +50,6 @@ class Mlp:
             w[...] = rng.uniform(-limit, limit, size=w.shape)
         return m
 
-    @property
-    def n_params(self) -> int:
-        return self.params.size
-
-    def get_params(self) -> np.ndarray:
-        """A copy of the parameters in the canonical layout."""
-        return self.params.copy()
-
-    def set_params(self, flat: np.ndarray) -> None:
-        """Write `flat` (canonical layout) into the parameters in place."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self.params.shape:
-            raise ValueError(f"need {self.params.shape[0]} parameters, got shape {flat.shape}")
-        self.params[...] = flat
-
     def copy(self) -> "Mlp":
         return Mlp(self.layer_dims, self.params.copy())
 

@@ -34,8 +34,6 @@ class ExperimentConfig:
     optimized_client: int | None = 0  # None -> naive-all ablation
     aggregation: str = "fedavg"
     action_strategy: str = "normalized"
-    agent: AgentConfig = field(default_factory=AgentConfig)
-    reward: RewardConfig = field(default_factory=RewardConfig)
     dirichlet_alpha: float = 0.5
     split_ratio: float = 0.8
     seed_data: int = 0
@@ -54,8 +52,11 @@ class ExperimentConfig:
     fedavgm_beta: float = 0.9
     fedavgm_server_lr: float = 1.0
     cda_depth: int = 3
+    agent: AgentConfig = field(default_factory=AgentConfig)
+    reward: RewardConfig = field(default_factory=RewardConfig)
 
     def validate(self) -> None:
+        """The one check of a whole config; raises ValueError naming the key."""
         if not (0.0 < self.c_ratio <= 1.0):
             raise ValueError("c_ratio outside (0, 1]")
         if self.n_clients < 1 or self.rounds < 1 or self.local_epochs < 1:
@@ -70,6 +71,8 @@ class ExperimentConfig:
             raise ValueError("hidden_dims must all be >= 1")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
+        if self.n_per_class < 1 or self.feature_dim < 1:
+            raise ValueError("need n_per_class >= 1 and feature_dim >= 1")
         if not self.dirichlet_alpha > 0.0:
             raise ValueError("dirichlet_alpha must be > 0")
         if self.cda_depth < 0:
@@ -85,6 +88,8 @@ class ExperimentConfig:
             0 <= self.optimized_client < self.n_clients
         ):
             raise ValueError("optimized_client out of range")
+        self.agent.validate()
+        self.reward.validate()
 
 
 @dataclass
@@ -266,7 +271,7 @@ class _OptimizedClient:
         arch = self.arch
         idx = part.all_train_indices()
         xt, yt = x[idx], y[idx]
-        state, l_agg = compute_state(w_global, arch, xt, yt, t)
+        state, l_agg = compute_state(w_global, arch, xt, yt)
         self._complete_pending(state)
         self.state_log[t] = state
 
@@ -318,9 +323,9 @@ class _OptimizedClient:
         }
         return w_new, fragment
 
-    def finish(self, w_global, part, x, y, t: int) -> None:
+    def finish(self, w_global, part, x, y) -> None:
         idx = part.all_train_indices()
-        state, _ = compute_state(w_global, self.arch, x[idx], y[idx], t)
+        state, _ = compute_state(w_global, self.arch, x[idx], y[idx])
         self._complete_pending(state, terminal=True)
 
 
@@ -344,7 +349,14 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     server = ServerState(global_params)
     rng_sampling = np.random.default_rng(cfg.seed_sampling)
 
-    opt = None if cfg.optimized_client is None else _OptimizedClient(cfg, arch)
+    opt = None
+    if cfg.optimized_client is not None:
+        # Its state needs training rows and its fine-tune validation rows.
+        part = parts[cfg.optimized_client]
+        if part.train_size == 0 or len(part.val_indices) == 0:
+            split = "training" if part.train_size == 0 else "validation"
+            raise ValueError(f"client {part.client_id}: the optimized client has no {split} rows")
+        opt = _OptimizedClient(cfg, arch)
 
     x, y = ds.features, ds.labels
     # Per-round evaluation covers every client with validation rows at once:
@@ -404,7 +416,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     finetuned = None
     if opt is not None:
         part = parts[cfg.optimized_client]
-        opt.finish(server.global_params, part, x, y, cfg.rounds)
+        opt.finish(server.global_params, part, x, y)
         idx = part.all_train_indices()
         ft_rng = np.random.default_rng(_derived_seed(cfg.seed_data, 53))
         finetuned, finetune_trace = post_fl_finetune(

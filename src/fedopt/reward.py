@@ -28,8 +28,11 @@ class RewardConfig:
     div_guard: float = 1e-3
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.tau < 1 or self.div_guard <= 0:
-            raise ValueError("need tau >= 1 and div_guard > 0")
+            raise ValueError("need reward.tau >= 1 and reward.div_guard > 0")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from fedopt.agent import (
     weighted_metric_action,
 )
 from fedopt.metrics import StateVector
-from fedopt.nn import backward, forward, sgd_step
+from fedopt.nn import Mlp, backward, forward, sgd_step
 from fedopt.orchestrator import ExperimentConfig, _OptimizedClient
 
 
@@ -54,7 +54,7 @@ class TestPolicyAction:
 
     def test_zero_actor_midpoint(self):
         ac = make_ac(b_l=0.1, b_u=0.9)
-        ac.actor.set_params(np.zeros(ac.actor.n_params))
+        ac.actor.params[...] = np.zeros(ac.actor.params.size)
         a = policy_action(ac, StateVector(np.array([0.3, 0.6, 0.9])))
         np.testing.assert_allclose(a, 0.5, atol=1e-12)
 
@@ -170,7 +170,7 @@ class TestCriticUpdate:
         l1 = critic_update(ac1, batch, ac1.cfg)
         l2 = critic_update(ac2, batch, ac2.cfg)
         assert l1 == pytest.approx(l2)
-        np.testing.assert_allclose(ac1.critic.get_params(), ac2.critic.get_params())
+        np.testing.assert_allclose(ac1.critic.params, ac2.critic.params)
 
     def test_tiny_gamma_matches_terminal(self):
         batch_t = random_batch(8, 3, seed=4, terminal=True)
@@ -179,7 +179,7 @@ class TestCriticUpdate:
         ac2 = make_ac(seed=6, gamma=1e-15)
         critic_update(ac1, batch_t, ac1.cfg)
         critic_update(ac2, batch_n, ac2.cfg)
-        np.testing.assert_allclose(ac1.critic.get_params(), ac2.critic.get_params(), atol=1e-10)
+        np.testing.assert_allclose(ac1.critic.params, ac2.critic.params, atol=1e-10)
 
     def test_overfit_one_batch(self):
         ac = make_ac(seed=7, critic_lr=0.05)
@@ -203,10 +203,10 @@ class TestCriticUpdate:
 class TestActorUpdate:
     def test_constant_critic_no_move(self):
         ac = make_ac(seed=9)
-        ac.critic.set_params(np.zeros(ac.critic.n_params))
-        before = ac.actor.get_params()
+        ac.critic.params[...] = np.zeros(ac.critic.params.size)
+        before = ac.actor.params.copy()
         actor_update(ac, random_batch(8, 3, seed=10)[0], ac.cfg)
-        np.testing.assert_array_equal(ac.actor.get_params(), before)
+        np.testing.assert_array_equal(ac.actor.params, before)
 
     def test_moves_toward_critic_peak(self):
         # critic wired to Q(a) = -sum_c |a_c - a*_c| via ReLU pairs
@@ -261,24 +261,24 @@ class TestSoftUpdate:
     def test_tau_one_copies(self):
         ac = make_ac(seed=14)
         soft_update(ac, 1.0)
-        np.testing.assert_array_equal(ac.actor_target.get_params(), ac.actor.get_params())
-        np.testing.assert_array_equal(ac.critic_target.get_params(), ac.critic.get_params())
+        np.testing.assert_array_equal(ac.actor_target.params, ac.actor.params)
+        np.testing.assert_array_equal(ac.critic_target.params, ac.critic.params)
 
     def test_halfway(self):
         ac = make_ac(seed=15)
-        ac.actor.set_params(np.ones(ac.actor.n_params))
-        ac.actor_target.set_params(np.zeros(ac.actor.n_params))
+        ac.actor.params[...] = np.ones(ac.actor.params.size)
+        ac.actor_target.params[...] = np.zeros(ac.actor.params.size)
         soft_update(ac, 0.5)
-        np.testing.assert_allclose(ac.actor_target.get_params(), 0.5)
+        np.testing.assert_allclose(ac.actor_target.params, 0.5)
 
     def test_geometric_convergence(self):
         ac = make_ac(seed=16)
-        ac.actor.set_params(np.ones(ac.actor.n_params))
-        ac.actor_target.set_params(np.zeros(ac.actor.n_params))
+        ac.actor.params[...] = np.ones(ac.actor.params.size)
+        ac.actor_target.params[...] = np.zeros(ac.actor.params.size)
         diffs = []
         for _ in range(6):
             soft_update(ac, 0.5)
-            diffs.append(np.linalg.norm(ac.actor.get_params() - ac.actor_target.get_params()))
+            diffs.append(np.linalg.norm(ac.actor.params - ac.actor_target.params))
         ratios = [b / a for a, b in zip(diffs, diffs[1:])]
         np.testing.assert_allclose(ratios, 0.5, atol=1e-12)
 
@@ -366,8 +366,8 @@ class TestReplayBuffer:
 
 
 class _CopyingReference:
-    """The agent update as a copying loop: every network goes through
-    get_params/set_params, the one-step batch is a list of Transitions
+    """The agent update as a copying loop: every step rebinds each network
+    to a new Mlp over a new vector, the one-step batch is a list of Transitions
     stacked per field, and n-step slices are built as a list of tuples."""
 
     def __init__(self, ac, items, rng, cfg):
@@ -414,7 +414,7 @@ class _CopyingReference:
         cache = {}
         err = forward(ac.critic, np.hstack([states, actions]), cache)[:, 0] - target
         grads, _ = backward(ac.critic, cache, (2.0 * err / len(err))[:, None])
-        ac.critic.set_params(sgd_step(ac.critic.get_params(), grads, cfg.critic_lr))
+        ac.critic = Mlp(ac.critic.layer_dims, sgd_step(ac.critic.params, grads, cfg.critic_lr))
 
         actor_cache, critic_cache = {}, {}
         sig = 0.5 * (1.0 + np.tanh(0.5 * forward(ac.actor, states, actor_cache)))
@@ -423,11 +423,13 @@ class _CopyingReference:
         _, d_in = backward(ac.critic, critic_cache, np.full((len(states), 1), 1.0 / len(states)))
         d_raw = d_in[:, ac.n_classes:] * (cfg.b_u - cfg.b_l) * sig * (1.0 - sig)
         grads, _ = backward(ac.actor, actor_cache, d_raw)
-        ac.actor.set_params(sgd_step(ac.actor.get_params(), grads, -cfg.actor_lr))
+        ac.actor = Mlp(ac.actor.layer_dims, sgd_step(ac.actor.params, grads, -cfg.actor_lr))
 
         tau = cfg.soft_update_tau
-        for online, tgt in ((ac.actor, ac.actor_target), (ac.critic, ac.critic_target)):
-            tgt.set_params(tau * online.get_params() + (1.0 - tau) * tgt.get_params())
+        ac.actor_target, ac.critic_target = (
+            Mlp(tgt.layer_dims, tau * online.params + (1.0 - tau) * tgt.params)
+            for online, tgt in ((ac.actor, ac.actor_target), (ac.critic, ac.critic_target))
+        )
 
 
 @pytest.mark.parametrize("n_step", [1, 3])
@@ -438,7 +440,7 @@ def test_learn_matches_copying_reference(n_step):
     opt = _OptimizedClient(cfg, [5, 4, 3])
     ref_ac = copy.deepcopy(opt.ac)
     ref = _CopyingReference(ref_ac, [], copy.deepcopy(opt.buffer._rng), cfg.agent)
-    init = opt.ac.actor.get_params()
+    init = opt.ac.actor.params.copy()
     rng = np.random.default_rng(11)
     updates = 0
     for i in range(48):

@@ -83,6 +83,13 @@ class TestParseConfig:
         ("n_classes = 1", "n_classes"), ("dirichlet_alpha = 0", "dirichlet_alpha"),
         ("cda_depth = -1", "cda_depth"), ("seed_data = -1", "seed_data"),
         ("seed_sampling = -1", "seed_sampling"),
+        ("n_per_class = 0", "n_per_class"), ("feature_dim = 0", "feature_dim"),
+        ("agent.buffer_capacity = 16", "agent.buffer_capacity"),
+        ("agent.batch_size = 20000", "agent.buffer_capacity"),
+        ("agent.soft_update_tau = 0", "agent.soft_update_tau"),
+        ("agent.soft_update_tau = -0.5", "agent.soft_update_tau"),
+        ("agent.soft_update_tau = 1.5", "agent.soft_update_tau"),
+        ("agent.soft_update_tau = nan", "agent.soft_update_tau"),
     ])
     def test_values_that_fail_at_run_time_are_rejected(self, tmp_path, line, key):
         path = tmp_path / "bad.cfg"
@@ -159,6 +166,14 @@ class TestCmdRun:
         with pytest.raises(ValueError):
             _write_outputs(tmp_path / "o", cfg, result)
         assert not (tmp_path / "o").exists()
+
+    def test_optimized_client_without_training_rows_exits_3_naming_it(self, tmp_path, caplog):
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text("n_clients = 20\nn_per_class = 5\ndirichlet_alpha = 0.05\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 3
+        assert "runtime: client 0: the optimized client has no training rows" in caplog.text
+        assert not out.exists()
 
     def test_ablation_flag(self, small_config, tmp_path):
         out = tmp_path / "abl"

@@ -167,6 +167,8 @@ def test_load_csv(tmp_path):
     ("1.0,2.0,1.5\n3.0,4.0,1\n", r"data row 1: label 1.5 "),
     ("1.0,2.0,0\n3.0,4.0,nan\n", r"data row 2: label nan "),
     ("", r"no data rows"),
+    ("1.0,2.0,0\n3.0,4.0,0\n", r"fewer than two classes"),
+    ("1.0,2.0,1\n3.0,4.0,1\n", r"fewer than two classes"),
 ])
 def test_load_csv_rejects_bad_labels_and_empty_files(tmp_path, text, match):
     path = tmp_path / "bad.csv"
@@ -186,4 +188,16 @@ def test_run_with_bad_csv_exits_3(tmp_path):
     cfg = tmp_path / "csv.cfg"
     cfg.write_text(f"dataset_csv = {data}\nrounds = 2\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_with_single_class_csv_exits_3(tmp_path, caplog):
+    from fedopt.cli import main
+
+    data = tmp_path / "one.csv"
+    data.write_text("".join(f"{i}.0,0\n" for i in range(8)))
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(f"dataset_csv = {data}\nn_clients = 2\nrounds = 3\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert f"{data}: labels hold fewer than two classes" in caplog.text
     assert not (tmp_path / "o").exists()

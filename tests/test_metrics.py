@@ -85,7 +85,7 @@ class TestComputeState:
         m.weights[0][...] = np.eye(2) * 10
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
-        s, _ = compute_state(m.get_params(), arch, x, y)
+        s, _ = compute_state(m.params, arch, x, y)
         np.testing.assert_array_equal(s.f1_per_class, [1.0, 1.0])
 
     def test_constant_prediction_balanced(self):
@@ -94,7 +94,7 @@ class TestComputeState:
         m.biases[0][...] = [1.0, 0.0]  # always predicts class 0
         x = np.zeros((4, 2))
         y = np.array([0, 0, 1, 1])
-        s, _ = compute_state(m.get_params(), arch, x, y)
+        s, _ = compute_state(m.params, arch, x, y)
         np.testing.assert_allclose(s.f1_per_class, [2 / 3, 0.0])
 
     def test_range_and_purity(self):
@@ -103,21 +103,21 @@ class TestComputeState:
         m = Mlp.init_glorot(arch, rng)
         x = rng.normal(size=(30, 3))
         y = rng.integers(0, 3, 30)
-        s1, _ = compute_state(m.get_params(), arch, x, y)
-        s2, _ = compute_state(m.get_params(), arch, x, y)
+        s1, _ = compute_state(m.params, arch, x, y)
+        s2, _ = compute_state(m.params, arch, x, y)
         assert np.all((s1.f1_per_class >= 0) & (s1.f1_per_class <= 1))
         np.testing.assert_array_equal(s1.f1_per_class, s2.f1_per_class)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            compute_state(Mlp([2, 2]).get_params(), [2, 2], np.zeros((0, 2)), np.array([]))
+            compute_state(Mlp([2, 2]).params, [2, 2], np.zeros((0, 2)), np.array([]))
 
     def test_loss_equals_dataset_loss(self):
         from fedopt.orchestrator import dataset_loss
 
         rng = np.random.default_rng(3)
         arch = [3, 5, 3]
-        w = Mlp.init_glorot(arch, rng).get_params()
+        w = Mlp.init_glorot(arch, rng).params.copy()
         x = rng.normal(size=(40, 3))
         y = rng.integers(0, 3, 40)
         _, loss = compute_state(w, arch, x, y)

@@ -9,16 +9,15 @@ from fedopt.nn import Mlp, backward, cross_entropy_loss, forward, sgd_step
 
 def numeric_param_grad(model, x, y, h=1e-5):
     """Central finite differences of the mean cross-entropy w.r.t. params."""
-    base = model.get_params()
+    base = model.params.copy()
     grad = np.zeros_like(base)
     for i in range(len(base)):
-        for sign, slot in ((1.0, 0), (-1.0, 1)):
-            p = base.copy()
-            p[i] += sign * h
-            model.set_params(p)
+        for sign in (1.0, -1.0):
+            model.params[...] = base
+            model.params[i] += sign * h
             loss, _ = cross_entropy_loss(forward(model, x), y)
             grad[i] += sign * loss
-    model.set_params(base)
+    model.params[...] = base
     return grad / (2 * h)
 
 
@@ -60,26 +59,26 @@ class TestParamVector:
     def test_flatten_roundtrip_exact(self, dims):
         rng = np.random.default_rng(0)
         m = Mlp.init_glorot(dims, rng)
-        flat = m.get_params()
-        m2 = Mlp(dims)
-        m2.set_params(flat)
-        np.testing.assert_array_equal(m2.get_params(), flat)
+        flat = m.params.copy()
+        m2 = Mlp(dims, flat.copy())
+        np.testing.assert_array_equal(m2.params, m.params)
+        x = rng.normal(size=(3, dims[0]))
+        np.testing.assert_array_equal(forward(m2, x), forward(m, x))
 
     def test_param_count(self):
         m = Mlp([2, 3, 2])
-        assert m.n_params == 2 * 3 + 3 + 3 * 2 + 2
+        assert m.params.shape == (2 * 3 + 3 + 3 * 2 + 2,)
 
     def test_bad_length(self):
         with pytest.raises(ValueError):
-            Mlp([2, 2]).set_params(np.zeros(3))
+            Mlp([2, 2], np.zeros(3))
 
     def test_view_of_shares_memory_with_flat(self):
         # Mlp(dims, flat) is a view of flat: no copy is made
         dims = [3, 4, 2]
-        flat = Mlp.init_glorot(dims, np.random.default_rng(0)).get_params()
+        flat = Mlp.init_glorot(dims, np.random.default_rng(0)).params.copy()
         m = Mlp(dims, flat)
         assert m.params is flat
-        np.testing.assert_array_equal(m.get_params(), flat)
         flat[...] = 0.5
         # each hidden unit is 0.5, so each logit is 4 * 0.5 * 0.5 + 0.5
         assert np.all(forward(m, np.zeros((1, 3))) == 1.5)
@@ -91,13 +90,13 @@ class TestParamVector:
         with pytest.raises(ValueError):
             Mlp([2, 2], flat)
 
-    def test_set_params_writes_in_place(self):
+    def test_params_write_in_place(self):
         m = Mlp([2, 3, 2])
         params = m.params
-        m.set_params(np.arange(m.n_params, dtype=np.float32))
+        m.params[...] = np.arange(m.params.size, dtype=np.float32)
         assert m.params is params and m.params.dtype == np.float64
-        np.testing.assert_array_equal(m.get_params(), np.arange(m.n_params))
-        assert not np.shares_memory(m.get_params(), m.params)
+        np.testing.assert_array_equal(m.weights[0].ravel(), np.arange(6))
+        np.testing.assert_array_equal(m.biases[1], [15, 16])
 
 
 def _constructed(dims):
@@ -107,7 +106,7 @@ def _constructed(dims):
         "zeros": Mlp(dims),
         "glorot": glorot,
         "copy": glorot.copy(),
-        "vector": Mlp(dims, np.arange(Mlp(dims).n_params, dtype=np.float64)),
+        "vector": Mlp(dims, np.arange(Mlp(dims).params.size, dtype=np.float64)),
     }
 
 
@@ -116,7 +115,8 @@ class TestLayout:
     @pytest.mark.parametrize("how", ["zeros", "glorot", "copy", "vector"])
     def test_weights_and_biases_are_views_of_params(self, dims, how):
         m = _constructed(dims)[how]
-        assert m.params.dtype == np.float64 and m.params.shape == (m.n_params,)
+        n = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+        assert m.params.dtype == np.float64 and m.params.shape == (n,)
         assert all(np.shares_memory(a, m.params) for a in m.weights + m.biases)
         assert [w.shape for w in m.weights] == list(zip(dims, dims[1:]))
         assert [b.shape for b in m.biases] == [(b,) for b in dims[1:]]

@@ -30,7 +30,7 @@ class TestClientLocalTrain:
     def _problem(self, seed=0):
         rng = np.random.default_rng(seed)
         arch = [3, 2]
-        w = Mlp.init_glorot(arch, rng).get_params()
+        w = Mlp.init_glorot(arch, rng).params.copy()
         x = rng.normal(size=(12, 3))
         y = rng.integers(0, 2, 12)
         return arch, w, x, y
@@ -43,8 +43,7 @@ class TestClientLocalTrain:
     def test_full_batch_equals_single_sgd_step(self):
         arch, w, x, y = self._problem(1)
         out = client_local_train(arch, w, x, y, 1, len(y), 0.1, np.random.default_rng(0))
-        m = Mlp(arch)
-        m.set_params(w)
+        m = Mlp(arch, w)
         cache = {}
         _, d = cross_entropy_loss(forward(m, x, cache), y)
         grads, _ = backward(m, cache, d)
@@ -86,7 +85,7 @@ class TestClientLocalTrain:
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(2)
         arch = [2, 8, 2]
-        w = Mlp.init_glorot(arch, rng).get_params()
+        w = Mlp.init_glorot(arch, rng).params.copy()
         x = np.vstack([rng.normal(-2, 0.5, (30, 2)), rng.normal(2, 0.5, (30, 2))])
         y = np.repeat([0, 1], 30)
         before = dataset_loss(arch, w, x, y)
@@ -100,9 +99,8 @@ class TestClientLocalTrain:
 
     @staticmethod
     def _reference(arch, w_init, x, y, epochs, batch_size, lr, rng, prox_mu, w_global):
-        """Copying loop: parameters go through set_params/get_params every step."""
-        model = Mlp(list(arch))
-        model.set_params(w_init)
+        """Copying loop: every step builds a new Mlp over a new vector."""
+        model = Mlp(list(arch), np.array(w_init, dtype=np.float64))
         for _ in range(epochs):
             order = rng.permutation(len(y))
             for i in range(0, len(y), batch_size):
@@ -111,16 +109,16 @@ class TestClientLocalTrain:
                 _, d_logits = cross_entropy_loss(forward(model, x[batch], cache), y[batch])
                 grads, _ = backward(model, cache, d_logits)
                 if prox_mu > 0.0 and w_global is not None:
-                    grads = grads + prox_mu * (model.get_params() - w_global)
-                model.set_params(sgd_step(model.get_params(), grads, lr))
-        return model.get_params()
+                    grads = grads + prox_mu * (model.params - w_global)
+                model = Mlp(list(arch), sgd_step(model.params, grads, lr))
+        return model.params
 
     @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
     @pytest.mark.parametrize("epochs,batch_size", [(1, 16), (3, 7)])
     def test_matches_copying_reference_bit_for_bit(self, prox_mu, epochs, batch_size):
         rng = np.random.default_rng(5)
         arch = [4, 6, 5, 3]
-        w_init = Mlp.init_glorot(arch, rng).get_params()
+        w_init = Mlp.init_glorot(arch, rng).params.copy()
         w_global = w_init + rng.normal(scale=0.1, size=w_init.shape)
         x = rng.normal(size=(45, 4))  # 45 rows: the last batch is partial for 7 and 16
         y = rng.integers(0, 3, 45)
@@ -138,7 +136,7 @@ class TestPostFlFinetune:
     def _splits(self, seed=0):
         rng = np.random.default_rng(seed)
         arch = [2, 4, 2]
-        w = Mlp.init_glorot(arch, rng).get_params()
+        w = Mlp.init_glorot(arch, rng).params.copy()
         x = rng.normal(size=(40, 2))
         y = (x[:, 0] > 0).astype(int)
         return arch, w, x[:30], y[:30], x[30:], y[30:]
@@ -161,8 +159,7 @@ class TestPostFlFinetune:
                                        np.random.default_rng(1))
         from fedopt.metrics import accuracy, evaluate
 
-        m = Mlp(arch)
-        m.set_params(best)
+        m = Mlp(arch, best)
         assert accuracy(evaluate(m, xv, yv)) == pytest.approx(max(e["val_accuracy"] for e in trace))
 
     def test_diverged_finetune_raises_naming_epoch(self):
@@ -259,7 +256,7 @@ class TestRunFederated:
         part = dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed_data)[0]
         part = train_val_split(part, cfg.split_ratio, _derived_seed(cfg.seed_data, 17, 0))
         arch = [cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes]
-        w0 = Mlp.init_glorot(arch, np.random.default_rng(cfg.seed_init)).get_params()
+        w0 = Mlp.init_glorot(arch, np.random.default_rng(cfg.seed_init)).params.copy()
         idx = part.all_train_indices()
         expect = dataset_loss(arch, w0, ds.features[idx], ds.labels[idx])
         assert res.rounds[0].optimized["l_agg"] == pytest.approx(expect, rel=1e-12)
@@ -295,8 +292,7 @@ class TestRunFederated:
             train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed_data, 17, p.client_id))
             for p in dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed_data)
         ]
-        model = Mlp([cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes])
-        model.set_params(params)
+        model = Mlp([cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes], params)
         rows = []
         for part in parts:
             if len(part.val_indices) == 0:
@@ -349,3 +345,36 @@ class TestRunFederated:
             run_federated(small_cfg(c_ratio=1.5))
         with pytest.raises(ValueError):
             run_federated(small_cfg(optimized_client=99))
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("agent", "b_l", 0.0), ("agent", "soft_update_tau", 0.0),
+        ("agent", "buffer_capacity", 4), ("reward", "tau", 0),
+    ])
+    def test_section_changed_after_construction_rejected_before_any_work(
+        self, monkeypatch, section, key, value
+    ):
+        from fedopt import data
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run_federated built data for an invalid config")
+
+        monkeypatch.setattr(data, "generate_synthetic", no_work)
+        cfg = small_cfg()
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ValueError, match=f"{section}.{key}"):
+            run_federated(cfg)
+
+    @pytest.mark.parametrize("seed_data,split", [(2, "training"), (17, "validation")])
+    def test_optimized_client_without_rows_fails_before_round_0(
+        self, monkeypatch, seed_data, split
+    ):
+        from fedopt import orchestrator
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(orchestrator, "sample_clients", no_round)
+        cfg = ExperimentConfig(n_clients=20, n_per_class=5, dirichlet_alpha=0.05,
+                               seed_data=seed_data)
+        with pytest.raises(ValueError, match=f"^client 0: the optimized client has no {split} rows"):
+            run_federated(cfg)
