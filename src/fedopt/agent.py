@@ -20,15 +20,6 @@ ACTION_STRATEGIES = ("normalized", "weighted_metric", "full")
 
 
 @dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    terminal: bool = False
-
-
-@dataclass
 class AgentConfig:
     gamma: float = 0.99
     actor_lr: float = 1e-3
@@ -62,6 +53,11 @@ class AgentConfig:
             raise ValueError("agent.gamma outside (0, 1)")
         if not (0.0 < self.soft_update_tau <= 1.0):
             raise ValueError("agent.soft_update_tau outside (0, 1]")
+        if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
+            raise ValueError("need 0 <= agent.epsilon_end <= agent.epsilon_start <= 1")
+        # Zero rates are allowed: they freeze the agent (an ablation).
+        if not (self.actor_lr >= 0.0 and self.critic_lr >= 0.0):
+            raise ValueError("need agent.actor_lr >= 0 and agent.critic_lr >= 0")
 
     def epsilon_at(self, t: int, horizon: int) -> float:
         decay = self.epsilon_decay
@@ -71,20 +67,27 @@ class AgentConfig:
 
 
 class ReplayBuffer:
-    """Bounded FIFO store of transitions in trajectory order."""
+    """Bounded FIFO store of transitions in trajectory order, kept in ring
+    arrays: the p-th push goes to slot p % capacity."""
 
-    def __init__(self, capacity: int, seed: int = 0):
+    def __init__(self, capacity: int, dim: int, seed: int = 0):
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self._states = np.empty((capacity, dim))
+        self._actions = np.empty((capacity, dim))
+        self._rewards = np.empty(capacity)
+        self._next_states = np.empty((capacity, dim))
+        self._terminals = np.empty(capacity, dtype=bool)
+        self._pushes = 0
         self._rng = np.random.default_rng(seed)
 
-    def push(self, tr: Transition) -> None:
-        self._items.append(tr)
-        if len(self._items) > self.capacity:
-            self._items.pop(0)
+    def push(self, state, action, reward: float, next_state, terminal: bool) -> None:
+        slot = self._pushes % self.capacity
+        self._states[slot], self._actions[slot], self._rewards[slot] = state, action, reward
+        self._next_states[slot], self._terminals[slot] = next_state, terminal
+        self._pushes += 1
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self._pushes, self.capacity)
 
     def sample_slices(self, batch_size: int, n_step: int, gamma: float):
         """Sample up to `batch_size` distinct starts without replacement.
@@ -96,30 +99,24 @@ class ReplayBuffer:
         sum, the last covered transition's next state and terminal flag,
         and the number of transitions covered.
         """
-        if not self._items:
+        n = len(self)
+        if n == 0:
             raise ValueError("empty replay buffer")
-        n = len(self._items)
         starts = self._rng.choice(n, size=min(batch_size, n), replace=False)
-        returns, boots, terminal, steps = [], [], [], []
-        for i in starts:
-            g, k, last = 0.0, 0, self._items[i]
-            for last in self._items[i : i + n_step]:
-                g += gamma**k * last.reward
-                k += 1
-                if last.terminal:
-                    break
-            returns.append(g)
-            boots.append(last.next_state)
-            terminal.append(last.terminal)
-            steps.append(k)
-        return (
-            np.stack([self._items[i].state for i in starts]),
-            np.stack([self._items[i].action for i in starts]),
-            np.array(returns),
-            np.stack(boots),
-            np.array(terminal, dtype=np.float64),
-            np.array(steps, dtype=np.float64),
-        )
+        oldest = self._pushes - n
+        first = (oldest + starts) % self.capacity
+        returns, steps, last = np.zeros(len(starts)), np.zeros(len(starts)), first
+        alive = np.ones(len(starts), dtype=bool)
+        # One pass per window offset; adding term by term keeps the sum's order.
+        for k in range(n_step):
+            alive &= starts + k < n
+            slot = (oldest + np.minimum(starts + k, n - 1)) % self.capacity
+            returns = np.where(alive, returns + gamma**k * self._rewards[slot], returns)
+            last = np.where(alive, slot, last)
+            steps += alive
+            alive &= ~self._terminals[slot]
+        return (self._states[first], self._actions[first], returns, self._next_states[last],
+                self._terminals[last].astype(np.float64), steps)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .orchestrator import ExperimentConfig
 
@@ -22,10 +23,18 @@ class ConfigError(Exception):
 # File spellings of fields whose name cannot be used (`lambda` is a keyword).
 _SPELLING = {"lam": "lambda"}
 
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 # Annotation text -> parser; `X | None` also accepts `none` (see `_parser`).
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _finite,
     "str": str,
     "list[int]": lambda text: [int(v) for v in text.split(",") if v.strip()],
 }

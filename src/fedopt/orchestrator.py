@@ -17,10 +17,10 @@ import numpy as np
 from . import agent as agent_mod
 from . import data as data_mod
 from .aggregation import ClientUpdate, ServerState, STRATEGIES, aggregate
-from .agent import ACTION_STRATEGIES, ActorCritic, AgentConfig, ReplayBuffer, Transition
+from .agent import ACTION_STRATEGIES, ActorCritic, AgentConfig, ReplayBuffer
 from .metrics import StateVector, accuracy, class_prf1, compute_state, evaluate
 from .nn import Mlp, backward, cross_entropy_loss, forward, sgd_step
-from .reward import ExpFit, LossHistory, RewardConfig, compute_reward, estimate_loss, fit_exponential
+from .reward import LossHistory, RewardConfig, compute_reward, estimate_loss, fit_exponential
 
 
 @dataclass
@@ -75,6 +75,14 @@ class ExperimentConfig:
             raise ValueError("need n_per_class >= 1 and feature_dim >= 1")
         if not self.dirichlet_alpha > 0.0:
             raise ValueError("dirichlet_alpha must be > 0")
+        if not self.spread > 0.0:
+            raise ValueError("spread must be > 0")
+        if not self.prox_mu >= 0.0:
+            raise ValueError("prox_mu must be >= 0")
+        if not (0.0 <= self.fedavgm_beta < 1.0):
+            raise ValueError("fedavgm_beta outside [0, 1)")
+        if not self.fedavgm_server_lr > 0.0:
+            raise ValueError("fedavgm_server_lr must be > 0")
         if self.cda_depth < 0:
             raise ValueError("cda_depth must be >= 0")
         for key in ("seed_data", "seed_init", "seed_agent", "seed_sampling"):
@@ -183,6 +191,17 @@ def client_local_train(
     return params
 
 
+def _train_client(cfg: ExperimentConfig, arch: list[int], w_global: np.ndarray,
+                  x: np.ndarray, y: np.ndarray, t: int, k: int) -> np.ndarray:
+    """Client k's local training in round t from the global model; stops a diverged run."""
+    train_rng = np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, k))
+    prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
+    w_k = client_local_train(arch, w_global, x, y, cfg.local_epochs, cfg.batch_size, cfg.lr,
+                             train_rng, prox, w_global)
+    _require_finite(f"round {t}: client {k}", parameters=w_k)
+    return w_k
+
+
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     loss, _ = cross_entropy_loss(forward(Mlp(arch, params), x), y)
     return loss
@@ -233,18 +252,19 @@ class _OptimizedClient:
         self.arch = arch
         rng = np.random.default_rng(cfg.seed_agent)
         self.ac = ActorCritic(arch[-1], cfg.agent, rng)
-        self.buffer = ReplayBuffer(cfg.agent.buffer_capacity, _derived_seed(cfg.seed_agent, 1))
+        # A run pushes at most one transition a round, so a larger ring stays empty.
+        self.buffer = ReplayBuffer(min(cfg.agent.buffer_capacity, cfg.rounds), arch[-1],
+                                   _derived_seed(cfg.seed_agent, 1))
         self.rng = np.random.default_rng(_derived_seed(cfg.seed_agent, 2))
         self.history = LossHistory()
         self.state_log: dict[int, StateVector] = {}
         self.pending: tuple[np.ndarray, np.ndarray, float] | None = None
-        self.fit: ExpFit | None = None
 
     def _complete_pending(self, next_state: StateVector, terminal: bool = False) -> None:
         if self.pending is None:
             return
         s, a, r = self.pending
-        self.buffer.push(Transition(s, a, r, next_state.as_array(), terminal))
+        self.buffer.push(s, a, r, next_state.as_array(), terminal)
         self.pending = None
         self._learn()
 
@@ -286,27 +306,21 @@ class _OptimizedClient:
         _require_finite(where, fractions=fractions)
 
         sel = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed_data, 41, t))
-        train_rng = np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, part.client_id))
-        prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
-        w_new = client_local_train(
-            arch, w_global, x[sel], y[sel], cfg.local_epochs, cfg.batch_size,
-            cfg.lr, train_rng, prox, w_global,
-        )
+        w_new = _train_client(cfg, arch, w_global, x[sel], y[sel], t, part.client_id)
         l_local = dataset_loss(arch, w_new, xt, yt)
 
         l_est = None
         l_ref = max(l_local, 1e-12)
         if t >= cfg.reward.tau and len(self.history) >= 3:
-            self.fit = fit_exponential(self.history)
-            if self.fit.fit_valid:
-                est = estimate_loss(self.fit, t)
+            fit = fit_exponential(self.history)
+            if fit.fit_valid:
+                est = estimate_loss(fit, t)
                 if est > 0:
                     l_est = est
                     l_ref = est
         mu_a = float(np.mean(fractions))
         r = compute_reward(l_agg, l_ref, mu_a, cfg.reward, t)
-        _require_finite(where, parameters=w_new, l_agg=l_agg, l_local=l_local, l_ref=l_ref,
-                        reward=r)
+        _require_finite(where, l_agg=l_agg, l_local=l_local, l_ref=l_ref, reward=r)
         self.history.append(t, l_local)
         self.pending = (state.as_array(), fractions, r)
 
@@ -362,7 +376,10 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     # Per-round evaluation covers every client with validation rows at once:
     # their rows back to back, and each row's slot in `val_parts`.
     val_parts = [p for p in parts if len(p.val_indices)]
-    val_rows = np.concatenate([p.val_indices for p in val_parts] or [np.empty(0, np.int64)])
+    if not val_parts:
+        names = ", ".join(f"client {p.client_id}" for p in parts)
+        raise ValueError(f"no client has validation rows to evaluate ({names})")
+    val_rows = np.concatenate([p.val_indices for p in val_parts])
     val_slots = np.repeat(np.arange(len(val_parts)), [len(p.val_indices) for p in val_parts])
     val_y = y[val_rows]
     records: list[RoundRecord] = []
@@ -381,14 +398,8 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
                 n_used = opt_fragment["samples_used"]
             else:
                 idx = part.all_train_indices()
-                train_rng = np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, k))
-                prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
-                w_k = client_local_train(
-                    arch, server.global_params, x[idx], y[idx], cfg.local_epochs,
-                    cfg.batch_size, cfg.lr, train_rng, prox, server.global_params,
-                )
+                w_k = _train_client(cfg, arch, server.global_params, x[idx], y[idx], t, k)
                 n_used = len(idx)
-                _require_finite(f"round {t}: client {k}", parameters=w_k)
             client_params[k] = w_k
             updates.append(ClientUpdate(k, w_k, n_used))
         aggregate(

@@ -9,7 +9,6 @@ from fedopt.agent import (
     ActorCritic,
     AgentConfig,
     ReplayBuffer,
-    Transition,
     actor_update,
     critic_update,
     epsilon_greedy_select,
@@ -297,26 +296,74 @@ class TestSoftUpdate:
         np.testing.assert_array_equal(targets[1], 0.5 * ac.critic.params + 0.5 * before[1])
 
 
+class _ListBuffer:
+    """Reference replay buffer for the ring: a list of (state, action,
+    reward, next_state, terminal) tuples with `pop(0)` eviction, and a
+    Python walk over each start's n-step window."""
+
+    def __init__(self, capacity, seed=0):
+        self.capacity = capacity
+        self._items = []
+        self._rng = np.random.default_rng(seed)
+
+    def push(self, state, action, reward, next_state, terminal):
+        self._items.append((state, action, reward, next_state, terminal))
+        if len(self._items) > self.capacity:
+            self._items.pop(0)
+
+    def sample_slices(self, batch_size, n_step, gamma):
+        n = len(self._items)
+        starts = self._rng.choice(n, size=min(batch_size, n), replace=False)
+        returns, boots, terminal, steps = [], [], [], []
+        for i in starts:
+            g, k, last = 0.0, 0, self._items[i]
+            for last in self._items[i : i + n_step]:
+                g += gamma**k * last[2]
+                k += 1
+                if last[4]:
+                    break
+            returns.append(g)
+            boots.append(last[3])
+            terminal.append(last[4])
+            steps.append(k)
+        return (
+            np.stack([self._items[i][0] for i in starts]),
+            np.stack([self._items[i][1] for i in starts]),
+            np.array(returns),
+            np.stack(boots),
+            np.array(terminal, dtype=np.float64),
+            np.array(steps, dtype=np.float64),
+        )
+
+
+def push_counter(buf, i, terminal):
+    """Transition i: state [i], action [1], reward 1, next state [i + 1]."""
+    buf.push(np.array([float(i)]), np.ones(1), 1.0, np.array([i + 1.0]), terminal)
+
+
 class TestReplayBuffer:
     @given(ops=st.lists(st.integers(0, 99), min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_fifo_and_capacity(self, ops):
         cap = 10
-        buf = ReplayBuffer(cap, seed=0)
+        buf = ReplayBuffer(cap, 1, seed=0)
         pushed = []
         for tag in ops:
-            tr = Transition(np.array([float(tag)]), np.ones(1), 0.0, np.zeros(1))
-            buf.push(tr)
+            buf.push(np.array([float(tag)]), np.ones(1), 0.0, np.zeros(1), False)
             pushed.append(tag)
-            assert len(buf) <= cap
-            kept = [t.state[0] for t in buf._items]
-            assert kept == [float(x) for x in pushed[-cap:]]
+            assert len(buf) == min(len(pushed), cap)
+            # With no terminal, a window of `cap` steps from the i-th oldest
+            # start covers len(buf) - i transitions: that orders the starts.
+            states, *_, steps = buf.sample_slices(cap, cap, 0.5)
+            assert sorted(steps) == list(range(1, len(buf) + 1))
+            kept = states[np.argsort(-steps), 0]
+            assert kept.tolist() == [float(x) for x in pushed[-cap:]]
 
     def test_sample_deterministic_per_seed(self):
         def fill(seed):
-            buf = ReplayBuffer(50, seed=seed)
+            buf = ReplayBuffer(50, 1, seed=seed)
             for i in range(20):
-                buf.push(Transition(np.array([float(i)]), np.ones(1), 0.0, np.zeros(1)))
+                buf.push(np.array([float(i)]), np.ones(1), 0.0, np.zeros(1), False)
             return buf.sample_slices(8, 1, 0.9)[0][:, 0].tolist()
 
         assert fill(3) == fill(3)
@@ -324,24 +371,25 @@ class TestReplayBuffer:
 
     def test_sample_empty(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(5).sample_slices(1, 1, 0.9)
+            ReplayBuffer(5, 1).sample_slices(1, 1, 0.9)
 
     def test_one_step_slices_are_the_stored_transitions(self):
-        buf = ReplayBuffer(50, seed=1)
+        buf = ReplayBuffer(50, 2, seed=1)
         for i in range(12):
-            buf.push(Transition(np.array([float(i), 0.5]), np.full(2, i / 20), i - 5.5,
-                                np.array([i + 1.0, 0.5]), i == 4))
+            buf.push(np.array([float(i), 0.5]), np.full(2, i / 20), i - 5.5,
+                     np.array([i + 1.0, 0.5]), i == 4)
         states, actions, returns, boots, terminal, steps = buf.sample_slices(32, 1, 0.9)
         assert states.shape == (12, 2) and actions.shape == (12, 2) and boots.shape == (12, 2)
+        assert sorted(states[:, 0]) == list(range(12))
         for s, a, g, ns, term, k in zip(states, actions, returns, boots, terminal, steps):
-            tr = buf._items[int(s[0])]
-            assert (a == tr.action).all() and (ns == tr.next_state).all()
-            assert g == tr.reward and term == float(tr.terminal) and k == 1.0
+            i = int(s[0])
+            assert (a == i / 20).all() and (ns == [i + 1.0, 0.5]).all()
+            assert g == i - 5.5 and term == float(i == 4) and k == 1.0
 
     def test_nstep_slices_stop_at_terminal(self):
-        buf = ReplayBuffer(10, seed=0)
+        buf = ReplayBuffer(10, 1, seed=0)
         for i in range(5):
-            buf.push(Transition(np.array([float(i)]), np.ones(1), 1.0, np.array([float(i + 1)]), i == 2))
+            push_counter(buf, i, i == 2)
         slices = buf.sample_slices(5, n_step=3, gamma=0.5)
         for s, a, g, ns, term, steps in zip(*slices):
             start = int(s[0])
@@ -351,10 +399,9 @@ class TestReplayBuffer:
 
     def test_nstep_slices_hand_values(self):
         # rewards 1, gamma 0.5, transition 2 terminal, 5 transitions
-        buf = ReplayBuffer(10, seed=0)
+        buf = ReplayBuffer(10, 1, seed=0)
         for i in range(5):
-            buf.push(Transition(np.array([float(i)]), np.ones(1), 1.0, np.array([float(i + 1)]),
-                                i == 2))
+            push_counter(buf, i, i == 2)
         states, _, returns, boots, terminal, steps = buf.sample_slices(5, n_step=3, gamma=0.5)
         expected = {  # start -> (return, bootstrap state, terminal, steps)
             0: (1.75, 3.0, 1.0, 3.0), 1: (1.5, 3.0, 1.0, 2.0), 2: (1.0, 3.0, 1.0, 1.0),
@@ -364,11 +411,42 @@ class TestReplayBuffer:
                zip(states, returns, boots, terminal, steps)}
         assert got == expected
 
+    def test_nstep_slices_across_the_wrap(self):
+        # capacity 4 after 7 pushes keeps transitions 3..6, stored in slots
+        # 3, 0, 1, 2; transition 4 is terminal
+        buf = ReplayBuffer(4, 1, seed=0)
+        for i in range(7):
+            push_counter(buf, i, i == 4)
+        states, _, returns, boots, terminal, steps = buf.sample_slices(4, n_step=3, gamma=0.5)
+        expected = {
+            3: (1.5, 5.0, 1.0, 2.0), 4: (1.0, 5.0, 1.0, 1.0),
+            5: (1.5, 7.0, 0.0, 2.0), 6: (1.0, 7.0, 0.0, 1.0),
+        }
+        got = {int(s[0]): (g, b[0], t, k) for s, g, b, t, k in
+               zip(states, returns, boots, terminal, steps)}
+        assert got == expected
+
+    @pytest.mark.parametrize("capacity,n_step", [(10_000, 1), (50, 1), (30, 3), (7, 4)])
+    def test_ring_matches_list_buffer(self, capacity, n_step):
+        ring, oracle = ReplayBuffer(capacity, 3, seed=5), _ListBuffer(capacity, seed=5)
+        rng = np.random.default_rng(capacity + n_step)
+        for i in range(400):
+            transition = (rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
+                          rng.uniform(0, 1, 3), bool(rng.random() < 0.15))
+            ring.push(*transition)
+            oracle.push(*transition)
+            assert len(ring) == len(oracle._items)
+            got = ring.sample_slices(8, n_step, 0.9)
+            want = oracle.sample_slices(8, n_step, 0.9)
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and np.array_equal(g, w), i
+
 
 class _CopyingReference:
     """The agent update as a copying loop: every step rebinds each network
-    to a new Mlp over a new vector, the one-step batch is a list of Transitions
-    stacked per field, and n-step slices are built as a list of tuples."""
+    to a new Mlp over a new vector, the one-step batch is a list of
+    (state, action, reward, next_state, terminal) tuples stacked per field,
+    and n-step slices are built as a list of tuples."""
 
     def __init__(self, ac, items, rng, cfg):
         self.ac, self.items, self.rng, self.cfg = ac, items, rng, cfg
@@ -382,10 +460,10 @@ class _CopyingReference:
         starts = self.sample()
         if cfg.n_step == 1:
             batch = [items[i] for i in starts]
-            return (np.stack([tr.state for tr in batch]), np.stack([tr.action for tr in batch]),
-                    np.array([tr.reward for tr in batch]),
-                    np.stack([tr.next_state for tr in batch]),
-                    np.array([tr.terminal for tr in batch], dtype=np.float64),
+            return (np.stack([tr[0] for tr in batch]), np.stack([tr[1] for tr in batch]),
+                    np.array([tr[2] for tr in batch]),
+                    np.stack([tr[3] for tr in batch]),
+                    np.array([tr[4] for tr in batch], dtype=np.float64),
                     np.ones(len(batch)))
         slices = []
         for i in starts:
@@ -394,12 +472,11 @@ class _CopyingReference:
                 if i + k >= len(items):
                     break
                 last = items[i + k]
-                g += cfg.gamma**k * last.reward
+                g += cfg.gamma**k * last[2]
                 steps += 1
-                if last.terminal:
+                if last[4]:
                     break
-            slices.append((items[i].state, items[i].action, g, last.next_state, last.terminal,
-                           steps))
+            slices.append((items[i][0], items[i][1], g, last[3], last[4], steps))
         return (np.stack([sl[0] for sl in slices]), np.stack([sl[1] for sl in slices]),
                 np.array([sl[2] for sl in slices]), np.stack([sl[3] for sl in slices]),
                 np.array([sl[4] for sl in slices], dtype=np.float64),
@@ -444,9 +521,9 @@ def test_learn_matches_copying_reference(n_step):
     rng = np.random.default_rng(11)
     updates = 0
     for i in range(48):
-        tr = Transition(rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
-                        rng.uniform(0, 1, 3), i % 9 == 8)
-        opt.buffer.push(tr)
+        tr = (rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
+              rng.uniform(0, 1, 3), i % 9 == 8)
+        opt.buffer.push(*tr)
         ref.items = (ref.items + [tr])[-cfg.agent.buffer_capacity:]
         opt._learn()
         if len(ref.items) >= cfg.agent.batch_size:

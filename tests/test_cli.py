@@ -90,6 +90,21 @@ class TestParseConfig:
         ("agent.soft_update_tau = -0.5", "agent.soft_update_tau"),
         ("agent.soft_update_tau = 1.5", "agent.soft_update_tau"),
         ("agent.soft_update_tau = nan", "agent.soft_update_tau"),
+        # every float must be finite, and these keys have ranges
+        ("prox_mu = nan", "prox_mu"), ("prox_mu = -0.1", "prox_mu"),
+        ("fedavgm_beta = nan", "fedavgm_beta"), ("fedavgm_beta = 1", "fedavgm_beta"),
+        ("fedavgm_beta = -0.1", "fedavgm_beta"),
+        ("fedavgm_server_lr = 0", "fedavgm_server_lr"),
+        ("fedavgm_server_lr = -1", "fedavgm_server_lr"),
+        ("spread = 0", "spread"), ("spread = nan", "spread"), ("spread = inf", "spread"),
+        ("agent.epsilon_start = nan", "agent.epsilon_start"),
+        ("agent.epsilon_start = 1.5", "agent.epsilon_start"),
+        ("agent.epsilon_start = 0.05", "agent.epsilon_start"),  # below the default end 0.1
+        ("agent.epsilon_end = -0.1", "agent.epsilon_end"),
+        ("agent.epsilon_decay = inf", "agent.epsilon_decay"),
+        ("agent.actor_lr = -0.001", "agent.actor_lr"),
+        ("agent.critic_lr = -1", "agent.critic_lr"), ("agent.critic_lr = nan", "agent.critic_lr"),
+        ("reward.lambda = nan", "reward.lambda"), ("c_ratio = -inf", "c_ratio"),
     ])
     def test_values_that_fail_at_run_time_are_rejected(self, tmp_path, line, key):
         path = tmp_path / "bad.cfg"
@@ -99,6 +114,20 @@ class TestParseConfig:
         assert main(["validate-config", "--config", str(path)]) == 2
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lines", [
+        "agent.actor_lr = 0\nagent.critic_lr = 0\n",  # the frozen agent
+        "aggregation = fedprox\nprox_mu = 0\n",
+        "aggregation = fedavgm\nfedavgm_beta = 0\n",
+        "agent.epsilon_start = 0\nagent.epsilon_end = 0\n",
+        "agent.epsilon_start = 1\nagent.epsilon_end = 1\n",
+    ])
+    def test_zero_and_edge_values_stay_valid(self, tmp_path, lines):
+        path = tmp_path / "edge.cfg"
+        path.write_text(SMALL + lines)
+        parse_config(str(path))
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_negative_seed_flag_rejected(self, tmp_path, caplog):
         assert main(["run", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
@@ -174,6 +203,26 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 3
         assert "runtime: client 0: the optimized client has no training rows" in caplog.text
         assert not out.exists()
+
+    def test_naive_all_run_without_validation_rows_exits_3(self, tmp_path, caplog):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("n_clients = 4\nrounds = 2\nn_classes = 3\nn_per_class = 1\n"
+                       "optimized_client = none\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert ("runtime: no client has validation rows to evaluate "
+                "(client 0, client 1, client 2, client 3)") in caplog.text
+        assert not out.exists()
+
+    def test_huge_buffer_capacity_runs(self, small_config, tmp_path):
+        # The ring holds at most one transition a round, so a capacity far
+        # beyond `rounds` allocates nothing extra and changes nothing.
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(SMALL + "agent.buffer_capacity = 1000000000000\n")
+        assert main(["run", "--config", str(huge), "--out", str(tmp_path / "huge")]) == 0
+        assert main(["run", "--config", str(small_config), "--out", str(tmp_path / "std")]) == 0
+        rounds = [(tmp_path / d / "rounds.jsonl").read_bytes() for d in ("huge", "std")]
+        assert rounds[0] == rounds[1]
 
     def test_ablation_flag(self, small_config, tmp_path):
         out = tmp_path / "abl"

@@ -100,6 +100,14 @@ class TestSchema:
         with pytest.raises(ConfigError, match=f"line 1: invalid value .* for key '{key}'"):
             parse_config(write(tmp_path, line + "\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_every_float_key_rejects_non_finite_values(self, tmp_path, value):
+        floats = [key for key, annotation in ANNOTATIONS.items() if "float" in annotation]
+        assert len(floats) == 19
+        for key in floats:
+            with pytest.raises(ConfigError, match=f"invalid value .* for key '{key}'"):
+                parse_config(write(tmp_path, f"{key} = {value}\n"))
+
 
 # -- fuzzing --------------------------------------------------------------
 

@@ -318,8 +318,8 @@ class TestRunFederated:
     @pytest.mark.parametrize("overrides,n_reported", [
         # 12 clients at alpha 0.05: nine of them have no validation rows
         (dict(n_clients=12, dirichlet_alpha=0.05, n_per_class=10, optimized_client=None), 3),
-        # one sample per class: no client has validation rows
-        (dict(n_clients=4, n_per_class=1, optimized_client=None), 0),
+        # three samples per class: two of the four clients have validation rows
+        (dict(n_clients=4, n_per_class=3, optimized_client=None), 2),
         # 600 validation rows, more than one evaluation chunk
         (dict(n_per_class=1000, rounds=2), 3),
     ])
@@ -346,6 +346,18 @@ class TestRunFederated:
         with pytest.raises(ValueError):
             run_federated(small_cfg(optimized_client=99))
 
+    @pytest.mark.parametrize("key", [
+        "prox_mu", "fedavgm_beta", "fedavgm_server_lr", "spread", "agent.epsilon_start",
+        "agent.epsilon_end", "agent.actor_lr", "agent.critic_lr",
+    ])
+    def test_nan_range_settings_rejected_by_validate(self, key):
+        # A config built in code skips the parser's finiteness check.
+        cfg = small_cfg()
+        owner = cfg.agent if key.startswith("agent.") else cfg
+        setattr(owner, key.removeprefix("agent."), float("nan"))
+        with pytest.raises(ValueError, match=key):
+            cfg.validate()
+
     @pytest.mark.parametrize("section,key,value", [
         ("agent", "b_l", 0.0), ("agent", "soft_update_tau", 0.0),
         ("agent", "buffer_capacity", 4), ("reward", "tau", 0),
@@ -362,6 +374,19 @@ class TestRunFederated:
         cfg = small_cfg()
         setattr(getattr(cfg, section), key, value)
         with pytest.raises(ValueError, match=f"{section}.{key}"):
+            run_federated(cfg)
+
+    def test_no_validation_rows_fails_before_round_0(self, monkeypatch):
+        from fedopt import orchestrator
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(orchestrator, "sample_clients", no_round)
+        # one sample per class: no client has validation rows
+        cfg = small_cfg(n_clients=4, n_per_class=1, optimized_client=None)
+        with pytest.raises(ValueError, match=r"no client has validation rows .*"
+                                             r"\(client 0, client 1, client 2, client 3\)"):
             run_federated(cfg)
 
     @pytest.mark.parametrize("seed_data,split", [(2, "training"), (17, "validation")])
