@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import StateVector
 from .nn import Mlp, backward, forward, sgd_step
 
 ACTION_STRATEGIES = ("normalized", "weighted_metric", "full")
@@ -55,6 +54,9 @@ class AgentConfig:
             raise ValueError("agent.soft_update_tau outside (0, 1]")
         if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
             raise ValueError("need 0 <= agent.epsilon_end <= agent.epsilon_start <= 1")
+        # A negative decay would make epsilon climb past 1.
+        if not (self.epsilon_decay is None or self.epsilon_decay >= 0.0):
+            raise ValueError("agent.epsilon_decay must be none or >= 0")
         # Zero rates are allowed: they freeze the agent (an ablation).
         if not (self.actor_lr >= 0.0 and self.critic_lr >= 0.0):
             raise ValueError("need agent.actor_lr >= 0 and agent.critic_lr >= 0")
@@ -139,9 +141,8 @@ class ActorCritic:
         return self.cfg.b_l + (self.cfg.b_u - self.cfg.b_l) * _sigmoid(forward(actor, states))
 
 
-def policy_action(ac: ActorCritic, s: StateVector) -> np.ndarray:
-    """Deterministic actor output, every coordinate in [b_l, b_u]."""
-    state = s.as_array()
+def policy_action(ac: ActorCritic, state: np.ndarray) -> np.ndarray:
+    """Deterministic actor output for a per-class F1 state, every coordinate in [b_l, b_u]."""
     if state.shape != (ac.n_classes,):
         raise ValueError(f"state dim {state.shape} != {ac.n_classes}")
     return ac._act(ac.actor, state[None, :])[0]
@@ -165,7 +166,7 @@ def normalized_action(
 
 
 def weighted_metric_action(
-    a: np.ndarray, f1_now: StateVector, f1_lookback: StateVector
+    a: np.ndarray, f1_now: np.ndarray, f1_lookback: np.ndarray
 ) -> np.ndarray:
     """Upweight classes whose F1 dropped over the look-back window.
 
@@ -173,11 +174,9 @@ def weighted_metric_action(
     rescaled by C so the mean factor is 1 before multiplying the action.
     """
     a = np.asarray(a, dtype=np.float64)
-    now = f1_now.as_array()
-    back = f1_lookback.as_array()
-    if a.shape != now.shape or now.shape != back.shape:
+    if a.shape != f1_now.shape or f1_now.shape != f1_lookback.shape:
         raise ValueError("action/state dimension mismatch")
-    delta = now - back
+    delta = f1_now - f1_lookback
     weights = np.where(delta < 0, 1.0 + np.abs(delta), 1.0)
     factors = weights / weights.sum() * len(weights)
     return np.clip(a * factors, np.finfo(float).tiny, 1.0)
@@ -192,7 +191,7 @@ def epsilon_greedy_select(
     return greedy
 
 
-def critic_update(ac: ActorCritic, batch: tuple, cfg: AgentConfig) -> float:
+def critic_update(ac: ActorCritic, batch: tuple) -> float:
     """One MSE step toward the n-step bootstrapped target; returns pre-step loss.
 
     `batch` is the tuple returned by `ReplayBuffer.sample_slices`.
@@ -202,14 +201,14 @@ def critic_update(ac: ActorCritic, batch: tuple, cfg: AgentConfig) -> float:
         raise ValueError("empty batch")
     next_a = ac._act(ac.actor_target, boot_states)
     q_next = forward(ac.critic_target, np.hstack([boot_states, next_a]))[:, 0]
-    target = returns + (cfg.gamma**steps) * (1.0 - terminal) * q_next
+    target = returns + (ac.cfg.gamma**steps) * (1.0 - terminal) * q_next
     cache: dict = {}
     q = forward(ac.critic, np.hstack([states, actions]), cache)[:, 0]
     err = q - target
     loss = float(np.mean(err**2))
     d_out = (2.0 * err / len(err))[:, None]
     grads, _ = backward(ac.critic, cache, d_out)
-    ac.critic.params[...] = sgd_step(ac.critic.params, grads, cfg.critic_lr)
+    ac.critic.params[...] = sgd_step(ac.critic.params, grads, ac.cfg.critic_lr)
     return loss
 
 
@@ -217,7 +216,7 @@ def critic_update(ac: ActorCritic, batch: tuple, cfg: AgentConfig) -> float:
 critic_update_nstep = critic_update
 
 
-def actor_update(ac: ActorCritic, states: np.ndarray, cfg: AgentConfig) -> float:
+def actor_update(ac: ActorCritic, states: np.ndarray) -> float:
     """One ascent step on mean Q(s, actor(s)) over `states`; critic stays frozen."""
     if len(states) == 0:
         raise ValueError("empty batch")
@@ -234,13 +233,13 @@ def actor_update(ac: ActorCritic, states: np.ndarray, cfg: AgentConfig) -> float
     d_raw = d_action * (ac.cfg.b_u - ac.cfg.b_l) * sig * (1.0 - sig)
     grads, _ = backward(ac.actor, actor_cache, d_raw)
     # gradient ascent on the objective
-    ac.actor.params[...] = sgd_step(ac.actor.params, grads, -cfg.actor_lr)
+    ac.actor.params[...] = sgd_step(ac.actor.params, grads, -ac.cfg.actor_lr)
     return objective
 
 
-def soft_update(ac: ActorCritic, tau: float) -> None:
-    """target <- tau*online + (1-tau)*target for both networks, in place."""
-    if not (0.0 < tau <= 1.0):
-        raise ValueError("tau outside (0, 1]")
+def soft_update(ac: ActorCritic) -> None:
+    """target <- tau*online + (1-tau)*target for both networks, in place,
+    with tau = agent.soft_update_tau."""
+    tau = ac.cfg.soft_update_tau
     for online, target in ((ac.actor, ac.actor_target), (ac.critic, ac.critic_target)):
         target.params[...] = tau * online.params + (1.0 - tau) * target.params

@@ -154,18 +154,16 @@ def cmd_plot_data(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    opt_id = None
-    for rec in records:
-        if rec.get("optimized"):
-            opt_id = rec["optimized"].get("client", 0)
-            break
-    if opt_id is None:
-        opt_id = args.optimized_client
+    # The naive mean leaves the optimized client out of every round, as
+    # summary.csv does; a run without one (the ablation) averages everyone.
+    run_opt_id = next((rec["optimized"]["client"] for rec in records if rec.get("optimized")),
+                      None)
+    opt_id = args.optimized_client if run_opt_id is None else run_opt_id
 
     acc_lines = ["round,naive_mean_acc,optimized_acc"]
     frac_lines = None
     for rec in records:
-        naive = _naive_mean(rec, opt_id if rec.get("optimized") else None)
+        naive = _naive_mean(rec, run_opt_id)
         opt_row = _client_row(rec, opt_id)
         opt_acc = opt_row["accuracy"] if opt_row else float("nan")
         acc_lines.append(f"{rec['round']},{naive['accuracy']:.6f},{opt_acc:.6f}")
@@ -252,7 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("FEDOPT_LOG", "INFO").upper())
+    name = os.environ.get("FEDOPT_LOG", "INFO")
+    level = logging.getLevelName(name.upper())  # an int for a known level name
+    logging.basicConfig(level=level if isinstance(level, int) else logging.INFO)
+    if not isinstance(level, int):
+        log.error("FEDOPT_LOG=%s is not a log level (use DEBUG, INFO, WARNING or ERROR)", name)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,12 +1,10 @@
-"""Confusion-matrix metrics and the per-class F1 state vector.
+"""Confusion-matrix metrics and the agent's state: per-class F1.
 
 The metric functions take one (C, C) confusion matrix or a stack of them
 with any leading axes, one matrix per client.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +14,6 @@ from .nn import Mlp, cross_entropy_loss, forward
 # activations held at once, so peak memory does not grow with the number
 # of evaluated rows.
 EVAL_CHUNK = 512
-
-
-@dataclass
-class StateVector:
-    f1_per_class: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.f1_per_class, dtype=np.float64)
 
 
 def confusion(
@@ -102,7 +92,7 @@ def evaluate(
 
 def compute_state(
     params: np.ndarray, arch: list[int], x: np.ndarray, y: np.ndarray
-) -> tuple[StateVector, float]:
+) -> tuple[np.ndarray, float]:
     """Per-class F1 and mean cross-entropy of the model on a client's
     local training set, from one forward pass."""
     if len(y) == 0:
@@ -110,4 +100,4 @@ def compute_state(
     logits = forward(Mlp(arch, params), x)
     loss, _ = cross_entropy_loss(logits, y)
     _, _, f1 = class_prf1(confusion(logits.argmax(axis=1), y, arch[-1]))
-    return StateVector(f1), loss
+    return f1, loss

@@ -9,6 +9,7 @@ configs replay bit-identically.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -18,9 +19,14 @@ from . import agent as agent_mod
 from . import data as data_mod
 from .aggregation import ClientUpdate, ServerState, STRATEGIES, aggregate
 from .agent import ACTION_STRATEGIES, ActorCritic, AgentConfig, ReplayBuffer
-from .metrics import StateVector, accuracy, class_prf1, compute_state, evaluate
+from .metrics import accuracy, class_prf1, compute_state, evaluate
 from .nn import Mlp, backward, cross_entropy_loss, forward, sgd_step
 from .reward import LossHistory, RewardConfig, compute_reward, estimate_loss, fit_exponential
+
+# A fitted reference loss at or below this share of the measured local loss
+# is a fit decaying toward 0; as the reward's denominator it would let the
+# reward grow without bound, so the measured loss is the reference instead.
+FIT_FLOOR = 1e-3
 
 
 @dataclass
@@ -73,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("n_classes must be >= 2")
         if self.n_per_class < 1 or self.feature_dim < 1:
             raise ValueError("need n_per_class >= 1 and feature_dim >= 1")
+        if self.finetune_patience < 1 or self.finetune_max_epochs < 0:
+            raise ValueError("need finetune_patience >= 1 and finetune_max_epochs >= 0")
         if not self.dirichlet_alpha > 0.0:
             raise ValueError("dirichlet_alpha must be > 0")
         if not self.spread > 0.0:
@@ -245,26 +253,29 @@ def post_fl_finetune(
 
 
 class _OptimizedClient:
-    """Per-round RL pipeline owned by the optimized client."""
+    """The optimized client end to end: RL rounds, terminal transition, fine-tune."""
 
-    def __init__(self, cfg: ExperimentConfig, arch: list[int]):
-        self.cfg = cfg
-        self.arch = arch
-        rng = np.random.default_rng(cfg.seed_agent)
-        self.ac = ActorCritic(arch[-1], cfg.agent, rng)
+    def __init__(self, cfg: ExperimentConfig, arch: list[int], part, x: np.ndarray, y: np.ndarray):
+        # Its state needs training rows and its fine-tune validation rows.
+        if part.train_size == 0 or len(part.val_indices) == 0:
+            split = "training" if part.train_size == 0 else "validation"
+            raise ValueError(f"client {part.client_id}: the optimized client has no {split} rows")
+        self.cfg, self.arch, self.part, self.x, self.y = cfg, arch, part, x, y
+        idx = part.all_train_indices()
+        self.xt, self.yt = x[idx], y[idx]
+        self.ac = ActorCritic(arch[-1], cfg.agent, np.random.default_rng(cfg.seed_agent))
         # A run pushes at most one transition a round, so a larger ring stays empty.
         self.buffer = ReplayBuffer(min(cfg.agent.buffer_capacity, cfg.rounds), arch[-1],
                                    _derived_seed(cfg.seed_agent, 1))
         self.rng = np.random.default_rng(_derived_seed(cfg.seed_agent, 2))
         self.history = LossHistory()
-        self.state_log: dict[int, StateVector] = {}
+        self.states: list[np.ndarray] = []  # the state of each round in history.rounds
         self.pending: tuple[np.ndarray, np.ndarray, float] | None = None
 
-    def _complete_pending(self, next_state: StateVector, terminal: bool = False) -> None:
+    def _complete_pending(self, next_state: np.ndarray, terminal: bool = False) -> None:
         if self.pending is None:
             return
-        s, a, r = self.pending
-        self.buffer.push(s, a, r, next_state.as_array(), terminal)
+        self.buffer.push(*self.pending, next_state, terminal)
         self.pending = None
         self._learn()
 
@@ -273,41 +284,41 @@ class _OptimizedClient:
         if len(self.buffer) < cfg.batch_size:
             return
         batch = self.buffer.sample_slices(cfg.batch_size, cfg.n_step, cfg.gamma)
-        agent_mod.critic_update(self.ac, batch, cfg)
-        agent_mod.actor_update(self.ac, batch[0], cfg)
-        agent_mod.soft_update(self.ac, cfg.soft_update_tau)
+        agent_mod.critic_update(self.ac, batch)
+        agent_mod.actor_update(self.ac, batch[0])
+        agent_mod.soft_update(self.ac)
 
-    def _explore_action(self, raw: np.ndarray, state: StateVector, part, t: int) -> np.ndarray:
+    def _explore_action(self, raw: np.ndarray, state: np.ndarray, t: int) -> np.ndarray:
         if self.cfg.action_strategy == "normalized":
-            return agent_mod.normalized_action(raw, part.class_counts, part.train_size)
-        lookback_t = max(0, t - self.cfg.agent.eta)
-        candidates = [r for r in self.state_log if r <= lookback_t]
-        back = self.state_log[max(candidates)] if candidates else state
-        return agent_mod.weighted_metric_action(raw, state, back)
+            return agent_mod.normalized_action(raw, self.part.class_counts, self.part.train_size)
+        # The latest earlier round at or before t - eta; none yet -> this round's state.
+        i = bisect.bisect_right(self.history.rounds, max(0, t - self.cfg.agent.eta))
+        return agent_mod.weighted_metric_action(raw, state, self.states[i - 1] if i else state)
 
-    def round(self, w_global, part, x, y, t: int):
-        """Full optimized-client round; returns (params, record fragment)."""
-        cfg = self.cfg
-        arch = self.arch
-        idx = part.all_train_indices()
-        xt, yt = x[idx], y[idx]
-        state, l_agg = compute_state(w_global, arch, xt, yt)
+    def round(self, w_global: np.ndarray, t: int):
+        """Full optimized-client round; returns (params, record fragment).
+
+        From round reward.tau on, the reward's reference loss is the fit's
+        estimate for round t if the fit is valid and the estimate exceeds
+        FIT_FLOOR * l_local; otherwise it is the measured l_local.
+        """
+        cfg, arch, part = self.cfg, self.arch, self.part
+        state, l_agg = compute_state(w_global, arch, self.xt, self.yt)
         self._complete_pending(state)
-        self.state_log[t] = state
 
         if cfg.action_strategy == "full":
             fractions = np.ones(part.n_classes)
         else:
             raw = agent_mod.policy_action(self.ac, state)
-            explore = self._explore_action(raw, state, part, t)
+            explore = self._explore_action(raw, state, t)
             eps = cfg.agent.epsilon_at(t, cfg.rounds)
             fractions = agent_mod.epsilon_greedy_select(explore, raw, eps, self.rng)
         where = f"round {t}: client {part.client_id}"
         _require_finite(where, fractions=fractions)
 
         sel = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed_data, 41, t))
-        w_new = _train_client(cfg, arch, w_global, x[sel], y[sel], t, part.client_id)
-        l_local = dataset_loss(arch, w_new, xt, yt)
+        w_new = _train_client(cfg, arch, w_global, self.x[sel], self.y[sel], t, part.client_id)
+        l_local = dataset_loss(arch, w_new, self.xt, self.yt)
 
         l_est = None
         l_ref = max(l_local, 1e-12)
@@ -315,18 +326,19 @@ class _OptimizedClient:
             fit = fit_exponential(self.history)
             if fit.fit_valid:
                 est = estimate_loss(fit, t)
-                if est > 0:
+                if est > FIT_FLOOR * l_local:
                     l_est = est
                     l_ref = est
         mu_a = float(np.mean(fractions))
         r = compute_reward(l_agg, l_ref, mu_a, cfg.reward, t)
         _require_finite(where, l_agg=l_agg, l_local=l_local, l_ref=l_ref, reward=r)
         self.history.append(t, l_local)
-        self.pending = (state.as_array(), fractions, r)
+        self.states.append(state)
+        self.pending = (state, fractions, r)
 
         fragment = {
             "client": int(part.client_id),
-            "state": state.as_array().tolist(),
+            "state": state.tolist(),
             "fractions": fractions.tolist(),
             "samples_used": int(len(sel)),
             "train_size": int(part.train_size),
@@ -337,10 +349,15 @@ class _OptimizedClient:
         }
         return w_new, fragment
 
-    def finish(self, w_global, part, x, y) -> None:
-        idx = part.all_train_indices()
-        state, _ = compute_state(w_global, self.arch, x[idx], y[idx])
+    def finish(self, w_global: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+        """Push the terminal transition; returns post_fl_finetune's (params, trace)."""
+        cfg, val = self.cfg, self.part.val_indices
+        state, _ = compute_state(w_global, self.arch, self.xt, self.yt)
         self._complete_pending(state, terminal=True)
+        return post_fl_finetune(
+            self.arch, w_global, self.xt, self.yt, self.x[val], self.y[val], cfg.batch_size,
+            cfg.lr, cfg.finetune_patience, cfg.finetune_max_epochs,
+            np.random.default_rng(_derived_seed(cfg.seed_data, 53)))
 
 
 def run_federated(cfg: ExperimentConfig) -> RunResult:
@@ -363,16 +380,10 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     server = ServerState(global_params)
     rng_sampling = np.random.default_rng(cfg.seed_sampling)
 
-    opt = None
-    if cfg.optimized_client is not None:
-        # Its state needs training rows and its fine-tune validation rows.
-        part = parts[cfg.optimized_client]
-        if part.train_size == 0 or len(part.val_indices) == 0:
-            split = "training" if part.train_size == 0 else "validation"
-            raise ValueError(f"client {part.client_id}: the optimized client has no {split} rows")
-        opt = _OptimizedClient(cfg, arch)
-
     x, y = ds.features, ds.labels
+    opt = (None if cfg.optimized_client is None
+           else _OptimizedClient(cfg, arch, parts[cfg.optimized_client], x, y))
+
     # Per-round evaluation covers every client with validation rows at once:
     # their rows back to back, and each row's slot in `val_parts`.
     val_parts = [p for p in parts if len(p.val_indices)]
@@ -382,6 +393,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     val_rows = np.concatenate([p.val_indices for p in val_parts])
     val_slots = np.repeat(np.arange(len(val_parts)), [len(p.val_indices) for p in val_parts])
     val_y = y[val_rows]
+    train_rows = [p.all_train_indices() for p in parts]
     records: list[RoundRecord] = []
     client_params: dict[int, np.ndarray] = {}
 
@@ -390,18 +402,20 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         updates = []
         opt_fragment = None
         for k in sampled:
-            part = parts[k]
-            if part.train_size == 0:
+            idx = train_rows[k]
+            if len(idx) == 0:
                 continue
             if opt is not None and k == cfg.optimized_client:
-                w_k, opt_fragment = opt.round(server.global_params, part, x, y, t)
+                w_k, opt_fragment = opt.round(server.global_params, t)
                 n_used = opt_fragment["samples_used"]
             else:
-                idx = part.all_train_indices()
                 w_k = _train_client(cfg, arch, server.global_params, x[idx], y[idx], t, k)
                 n_used = len(idx)
             client_params[k] = w_k
             updates.append(ClientUpdate(k, w_k, n_used))
+        if not updates:
+            names = ", ".join(f"client {k}" for k in sampled)
+            raise ValueError(f"round {t}: no sampled client has training rows ({names})")
         aggregate(
             cfg.aggregation, updates, server,
             beta=cfg.fedavgm_beta, server_lr=cfg.fedavgm_server_lr, cda_depth=cfg.cda_depth,
@@ -423,16 +437,5 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         ]
         records.append(RoundRecord(t, sampled, client_metrics, opt_fragment, cfg.aggregation))
 
-    finetune_trace: list[dict] = []
-    finetuned = None
-    if opt is not None:
-        part = parts[cfg.optimized_client]
-        opt.finish(server.global_params, part, x, y)
-        idx = part.all_train_indices()
-        ft_rng = np.random.default_rng(_derived_seed(cfg.seed_data, 53))
-        finetuned, finetune_trace = post_fl_finetune(
-            arch, server.global_params, x[idx], y[idx],
-            x[part.val_indices], y[part.val_indices],
-            cfg.batch_size, cfg.lr, cfg.finetune_patience, cfg.finetune_max_epochs, ft_rng,
-        )
+    finetuned, finetune_trace = (None, []) if opt is None else opt.finish(server.global_params)
     return RunResult(server.global_params, client_params, records, finetune_trace, finetuned, arch)

@@ -13,7 +13,6 @@ from fedopt.agent import normalized_action, weighted_metric_action
 from fedopt.aggregation import ClientUpdate, ServerState, fed_avg, fed_avg_m, fed_median
 from fedopt.cli import main
 from fedopt.data import dirichlet_partition, generate_synthetic
-from fedopt.metrics import StateVector
 from fedopt.nn import Mlp
 from fedopt.orchestrator import ExperimentConfig, compute_performance_bound, run_federated
 from fedopt.reward import LossHistory, RewardConfig, compute_reward, fit_exponential
@@ -138,11 +137,11 @@ def test_criterion_5_action_properties(benchmark_runs):
     rng = np.random.default_rng(2)
     for _ in range(100):
         act = rng.uniform(0.1, 0.5, 4)
-        now = StateVector(rng.uniform(0, 1, 4))
-        back = StateVector(rng.uniform(0, 1, 4))
+        now = rng.uniform(0, 1, 4)
+        back = rng.uniform(0, 1, 4)
         out = weighted_metric_action(act, now, back)
         factors = out / act
-        declined = now.as_array() < back.as_array()
+        declined = now < back
         if declined.any() and (~declined).any():
             assert factors[declined].min() >= factors[~declined].max() - 1e-12
     report("criterion 5: emitted fractions in (0,1], scale invariance, "

@@ -17,7 +17,7 @@ from fedopt.agent import (
     soft_update,
     weighted_metric_action,
 )
-from fedopt.metrics import StateVector
+from fedopt.data import ClientPartition
 from fedopt.nn import Mlp, backward, forward, sgd_step
 from fedopt.orchestrator import ExperimentConfig, _OptimizedClient
 
@@ -48,23 +48,23 @@ class TestPolicyAction:
         ac = make_ac(b_l=0.2, b_u=0.8)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a = policy_action(ac, StateVector(rng.uniform(0, 1, 3)))
+            a = policy_action(ac, rng.uniform(0, 1, 3))
             assert np.all((a >= 0.2) & (a <= 0.8))
 
     def test_zero_actor_midpoint(self):
         ac = make_ac(b_l=0.1, b_u=0.9)
         ac.actor.params[...] = np.zeros(ac.actor.params.size)
-        a = policy_action(ac, StateVector(np.array([0.3, 0.6, 0.9])))
+        a = policy_action(ac, np.array([0.3, 0.6, 0.9]))
         np.testing.assert_allclose(a, 0.5, atol=1e-12)
 
     def test_deterministic(self):
         ac = make_ac()
-        s = StateVector(np.array([0.1, 0.2, 0.3]))
+        s = np.array([0.1, 0.2, 0.3])
         np.testing.assert_array_equal(policy_action(ac, s), policy_action(ac, s))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            policy_action(make_ac(3), StateVector(np.zeros(4)))
+            policy_action(make_ac(3), np.zeros(4))
 
 
 class TestNormalizedAction:
@@ -95,37 +95,37 @@ class TestNormalizedAction:
 class TestWeightedMetricAction:
     def test_no_change_identity(self):
         a = np.array([0.4, 0.6])
-        s = StateVector(np.array([0.5, 0.5]))
+        s = np.array([0.5, 0.5])
         np.testing.assert_allclose(weighted_metric_action(a, s, s), a)
 
     def test_hand_example(self):
         a = np.array([0.5, 0.5])
-        now = StateVector(np.array([0.2, 0.8]))
-        back = StateVector(np.array([0.7, 0.6]))  # dF1 = [-0.5, +0.2]
+        now = np.array([0.2, 0.8])
+        back = np.array([0.7, 0.6])  # dF1 = [-0.5, +0.2]
         np.testing.assert_allclose(weighted_metric_action(a, now, back), [0.6, 0.4])
 
     def test_declining_classes_weighted_up(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             a = rng.uniform(0.1, 0.5, 4)
-            now = StateVector(rng.uniform(0, 1, 4))
-            back = StateVector(rng.uniform(0, 1, 4))
+            now = rng.uniform(0, 1, 4)
+            back = rng.uniform(0, 1, 4)
             out = weighted_metric_action(a, now, back)
             factors = out / a
-            declined = now.as_array() < back.as_array()
+            declined = now < back
             if declined.any() and (~declined).any():
                 assert factors[declined].min() >= factors[~declined].max() - 1e-12
 
     def test_clamped_to_unit(self):
         a = np.array([0.95, 0.95])
-        now = StateVector(np.array([0.0, 1.0]))
-        back = StateVector(np.array([1.0, 0.0]))
+        now = np.array([0.0, 1.0])
+        back = np.array([1.0, 0.0])
         out = weighted_metric_action(a, now, back)
         assert np.all((out > 0) & (out <= 1.0))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            weighted_metric_action(np.zeros(2), StateVector(np.zeros(3)), StateVector(np.zeros(3)))
+            weighted_metric_action(np.zeros(2), np.zeros(3), np.zeros(3))
 
 
 class TestEpsilonGreedy:
@@ -139,7 +139,7 @@ class TestEpsilonGreedy:
 
     def test_epsilon_zero_always_greedy(self):
         ac = make_ac()
-        greedy = policy_action(ac, StateVector(np.zeros(3)))
+        greedy = policy_action(ac, np.zeros(3))
         rng = np.random.default_rng(0)
         for _ in range(20):
             assert epsilon_greedy_select(np.ones(3), greedy, 0.0, rng) is greedy
@@ -166,8 +166,8 @@ class TestCriticUpdate:
         batch = random_batch(8, 3, seed=3, terminal=True)
         ac1 = make_ac(seed=5, gamma=0.99)
         ac2 = make_ac(seed=5, gamma=1e-9)
-        l1 = critic_update(ac1, batch, ac1.cfg)
-        l2 = critic_update(ac2, batch, ac2.cfg)
+        l1 = critic_update(ac1, batch)
+        l2 = critic_update(ac2, batch)
         assert l1 == pytest.approx(l2)
         np.testing.assert_allclose(ac1.critic.params, ac2.critic.params)
 
@@ -176,26 +176,26 @@ class TestCriticUpdate:
         batch_n = random_batch(8, 3, seed=4, terminal=False)
         ac1 = make_ac(seed=6, gamma=1e-15)
         ac2 = make_ac(seed=6, gamma=1e-15)
-        critic_update(ac1, batch_t, ac1.cfg)
-        critic_update(ac2, batch_n, ac2.cfg)
+        critic_update(ac1, batch_t)
+        critic_update(ac2, batch_n)
         np.testing.assert_allclose(ac1.critic.params, ac2.critic.params, atol=1e-10)
 
     def test_overfit_one_batch(self):
         ac = make_ac(seed=7, critic_lr=0.05)
         batch = random_batch(16, 3, seed=8, terminal=True)
-        losses = [critic_update(ac, batch, ac.cfg) for _ in range(50)]
+        losses = [critic_update(ac, batch) for _ in range(50)]
         assert losses[-1] < losses[0]
 
     def test_empty_batch(self):
         ac = make_ac()
         with pytest.raises(ValueError):
-            critic_update(ac, empty_batch(), ac.cfg)
+            critic_update(ac, empty_batch())
 
     def test_updates_critic_in_place(self):
         ac = make_ac(seed=7)
         params = ac.critic.params
         before = params.copy()
-        critic_update(ac, random_batch(8, 3, seed=8), ac.cfg)
+        critic_update(ac, random_batch(8, 3, seed=8))
         assert ac.critic.params is params and not np.array_equal(params, before)
 
 
@@ -204,7 +204,7 @@ class TestActorUpdate:
         ac = make_ac(seed=9)
         ac.critic.params[...] = np.zeros(ac.critic.params.size)
         before = ac.actor.params.copy()
-        actor_update(ac, random_batch(8, 3, seed=10)[0], ac.cfg)
+        actor_update(ac, random_batch(8, 3, seed=10)[0])
         np.testing.assert_array_equal(ac.actor.params, before)
 
     def test_moves_toward_critic_peak(self):
@@ -229,9 +229,9 @@ class TestActorUpdate:
         batch = state[None, :]
         dists = []
         for _ in range(100):
-            a = policy_action(ac, StateVector(state))
+            a = policy_action(ac, state)
             dists.append(np.linalg.norm(a - target))
-            actor_update(ac, batch, cfg)
+            actor_update(ac, batch)
         assert all(d1 >= d2 - 1e-12 for d1, d2 in zip(dists, dists[1:]))
         assert dists[-1] < dists[0]
 
@@ -239,58 +239,59 @@ class TestActorUpdate:
         ac = make_ac(seed=12, actor_lr=1.0, b_l=0.2, b_u=0.9)
         batch = random_batch(8, 3, seed=13)[0]
         for _ in range(20):
-            actor_update(ac, batch, ac.cfg)
-        a = policy_action(ac, StateVector(np.zeros(3)))
+            actor_update(ac, batch)
+        a = policy_action(ac, np.zeros(3))
         assert np.all((a >= 0.2) & (a <= 0.9))
 
     def test_empty_batch(self):
         ac = make_ac()
         with pytest.raises(ValueError):
-            actor_update(ac, np.empty((0, 3)), ac.cfg)
+            actor_update(ac, np.empty((0, 3)))
 
     def test_updates_actor_in_place(self):
         ac = make_ac(seed=12)
         params = ac.actor.params
         before = params.copy()
-        actor_update(ac, random_batch(8, 3, seed=13)[0], ac.cfg)
+        actor_update(ac, random_batch(8, 3, seed=13)[0])
         assert ac.actor.params is params and not np.array_equal(params, before)
 
 
 class TestSoftUpdate:
     def test_tau_one_copies(self):
-        ac = make_ac(seed=14)
-        soft_update(ac, 1.0)
+        ac = make_ac(seed=14, soft_update_tau=1.0)
+        soft_update(ac)
         np.testing.assert_array_equal(ac.actor_target.params, ac.actor.params)
         np.testing.assert_array_equal(ac.critic_target.params, ac.critic.params)
 
     def test_halfway(self):
-        ac = make_ac(seed=15)
+        ac = make_ac(seed=15, soft_update_tau=0.5)
         ac.actor.params[...] = np.ones(ac.actor.params.size)
         ac.actor_target.params[...] = np.zeros(ac.actor.params.size)
-        soft_update(ac, 0.5)
+        soft_update(ac)
         np.testing.assert_allclose(ac.actor_target.params, 0.5)
 
     def test_geometric_convergence(self):
-        ac = make_ac(seed=16)
+        ac = make_ac(seed=16, soft_update_tau=0.5)
         ac.actor.params[...] = np.ones(ac.actor.params.size)
         ac.actor_target.params[...] = np.zeros(ac.actor.params.size)
         diffs = []
         for _ in range(6):
-            soft_update(ac, 0.5)
+            soft_update(ac)
             diffs.append(np.linalg.norm(ac.actor.params - ac.actor_target.params))
         ratios = [b / a for a, b in zip(diffs, diffs[1:])]
         np.testing.assert_allclose(ratios, 0.5, atol=1e-12)
 
     def test_bad_tau(self):
-        with pytest.raises(ValueError):
-            soft_update(make_ac(), 0.0)
+        # soft_update reads agent.soft_update_tau, whose range the config checks.
+        with pytest.raises(ValueError, match="soft_update_tau"):
+            make_ac(soft_update_tau=0.0)
 
     def test_updates_targets_in_place(self):
-        ac = make_ac(seed=17)
+        ac = make_ac(seed=17, soft_update_tau=0.5)
         ac.actor.params[...] = 1.0
         targets = (ac.actor_target.params, ac.critic_target.params)
         before = [t.copy() for t in targets]
-        soft_update(ac, 0.5)
+        soft_update(ac)
         assert ac.actor_target.params is targets[0] and ac.critic_target.params is targets[1]
         np.testing.assert_array_equal(targets[0], 0.5 * 1.0 + 0.5 * before[0])
         np.testing.assert_array_equal(targets[1], 0.5 * ac.critic.params + 0.5 * before[1])
@@ -514,7 +515,8 @@ def test_learn_matches_copying_reference(n_step):
     cfg = ExperimentConfig(n_classes=3, seed_agent=4)
     cfg.agent = AgentConfig(n_step=n_step, batch_size=8, buffer_capacity=30, hidden=6,
                             actor_lr=0.05, critic_lr=0.05, soft_update_tau=0.1)
-    opt = _OptimizedClient(cfg, [5, 4, 3])
+    part = ClientPartition(0, 3, [np.array([c]) for c in range(3)], np.array([3]))
+    opt = _OptimizedClient(cfg, [5, 4, 3], part, np.zeros((4, 5)), np.array([0, 1, 2, 0]))
     ref_ac = copy.deepcopy(opt.ac)
     ref = _CopyingReference(ref_ac, [], copy.deepcopy(opt.buffer._rng), cfg.agent)
     init = opt.ac.actor.params.copy()

@@ -1,8 +1,15 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fedopt
 
 from fedopt.cli import _write_outputs, main
 from fedopt.config import ConfigError, emit_config, parse_config
@@ -18,6 +25,13 @@ spread = 2.0
 finetune_max_epochs = 10
 finetune_patience = 2
 """
+
+
+def strict_json_lines(path):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
 
 
 @pytest.fixture
@@ -105,6 +119,11 @@ class TestParseConfig:
         ("agent.actor_lr = -0.001", "agent.actor_lr"),
         ("agent.critic_lr = -1", "agent.critic_lr"), ("agent.critic_lr = nan", "agent.critic_lr"),
         ("reward.lambda = nan", "reward.lambda"), ("c_ratio = -inf", "c_ratio"),
+        ("agent.epsilon_decay = -0.1", "agent.epsilon_decay"),
+        ("agent.epsilon_decay = nan", "agent.epsilon_decay"),
+        ("finetune_patience = 0", "finetune_patience"),
+        ("finetune_patience = -3", "finetune_patience"),
+        ("finetune_max_epochs = -1", "finetune_max_epochs"),
     ])
     def test_values_that_fail_at_run_time_are_rejected(self, tmp_path, line, key):
         path = tmp_path / "bad.cfg"
@@ -121,6 +140,8 @@ class TestParseConfig:
         "aggregation = fedavgm\nfedavgm_beta = 0\n",
         "agent.epsilon_start = 0\nagent.epsilon_end = 0\n",
         "agent.epsilon_start = 1\nagent.epsilon_end = 1\n",
+        "agent.epsilon_decay = 0\n",
+        "finetune_patience = 1\nfinetune_max_epochs = 0\n",
     ])
     def test_zero_and_edge_values_stay_valid(self, tmp_path, lines):
         path = tmp_path / "edge.cfg"
@@ -176,17 +197,42 @@ class TestCmdRun:
         assert not (out / "rounds.jsonl").exists()
         assert not (out / "summary.csv").exists()
 
-    def test_diverged_agent_exits_3_naming_round(self, tmp_path, caplog):
-        # At this seed the reward reference fit decays toward 0, the reward
-        # grows without bound and the actor's outputs turn NaN.
+    def test_decaying_reward_fit_falls_back_and_stays_finite(self, tmp_path):
+        # At this seed the reference fit decays toward 0. Used as the reward's
+        # denominator it made the reward grow without bound, and the actor
+        # turned NaN at round 271; FIT_FLOOR makes such a fit fall back.
         cfg = tmp_path / "agent_long.cfg"
         cfg.write_text("n_clients = 4\nrounds = 400\nn_per_class = 100\n"
                        "action_strategy = weighted_metric\naggregation = fedprox\n")
-        with np.errstate(all="ignore"):
-            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                         "--seed", "708060"])
-        assert code == 3
-        assert re.search(r"runtime: round \d+: client 0: non-finite fractions", caplog.text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "708060"]) == 0
+        records = strict_json_lines(out / "rounds.jsonl")
+        assert len(records) == 400
+        assert all(0.0 < f <= 1.0 for r in records if r["optimized"]
+                   for f in r["optimized"]["fractions"])
+        assert strict_json_lines(out / "finetune.jsonl")
+        for row in (out / "summary.csv").read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(v)) for v in row.split(",")[1:]), row
+
+    def test_non_finite_action_exits_3_naming_round_and_client(self, small_config, tmp_path,
+                                                               caplog, monkeypatch):
+        from fedopt import agent
+
+        monkeypatch.setattr(agent, "policy_action", lambda ac, state: np.full(len(state), np.nan))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == 3
+        assert "runtime: round 0: client 0: non-finite fractions (diverged)" in caplog.text
+        assert not (out / "rounds.jsonl").exists()
+
+    def test_round_without_training_rows_exits_3_naming_it(self, tmp_path, caplog):
+        # The only sampled client holds no training rows, so nothing is aggregated.
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text("n_clients = 4\nrounds = 2\nn_classes = 3\nn_per_class = 20\n"
+                       "dirichlet_alpha = 1e-9\nc_ratio = 1e-9\nseed_sampling = 1\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "runtime: round 0: no sampled client has training rows (client 1)" in caplog.text
+        assert not out.exists()
 
     def test_outputs_reject_non_finite_values(self, tmp_path):
         cfg = ExperimentConfig()
@@ -258,10 +304,49 @@ class TestCmdPlotData:
             client0 = next(m for m in rec["client_metrics"] if m["client"] == 0)
             assert opt_col == pytest.approx(client0["accuracy"], abs=1e-6)
 
+    def test_naive_mean_leaves_optimized_client_out_of_every_round(self, tmp_path):
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text(SMALL.replace("n_clients = 3", "n_clients = 4").replace("rounds = 3",
+                                                                              "rounds = 8")
+                       + "c_ratio = 0.5\n")
+        out, plots = self._run(cfg, tmp_path)
+        records = strict_json_lines(out / "rounds.jsonl")
+        assert any(r["optimized"] for r in records) and not all(r["optimized"] for r in records)
+        acc = [line.split(",") for line in (plots / "accuracy.csv").read_text().splitlines()[1:]]
+        for rec, row in zip(records, acc, strict=True):
+            naive = [m["accuracy"] for m in rec["client_metrics"] if m["client"] != 0]
+            assert row[1] == f"{np.mean(naive):.6f}", rec["round"]
+        summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert max(row[1] for row in acc) == summary[3]
+
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "rounds.jsonl"
         bad.write_text('{"round": 0}\nnot json\n')
         assert main(["plot-data", "--rounds", str(bad), "--out", str(tmp_path / "p")]) == 3
+
+
+class TestLogLevel:
+    def test_unknown_level_is_a_usage_error(self, small_config, monkeypatch, caplog):
+        monkeypatch.setenv("FEDOPT_LOG", "verbose")
+        assert main(["validate-config", "--config", str(small_config)]) == 1
+        assert "FEDOPT_LOG=verbose is not a log level" in caplog.text
+
+    def test_level_name_in_any_case(self, small_config, monkeypatch):
+        monkeypatch.setenv("FEDOPT_LOG", "debug")
+        assert main(["validate-config", "--config", str(small_config)]) == 0
+
+    def test_unknown_level_prints_one_line_and_no_traceback(self, small_config):
+        # A fresh interpreter: the root logger has no handler yet.
+        src = str(Path(fedopt.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedopt.cli", "validate-config", "--config", str(small_config)],
+            env={**os.environ, "FEDOPT_LOG": "verbose", "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "ERROR:fedopt:FEDOPT_LOG=verbose is not a log level (use DEBUG, INFO, WARNING or ERROR)"
+        ]
 
 
 class TestCmdBound:

@@ -86,7 +86,7 @@ class TestComputeState:
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
         s, _ = compute_state(m.params, arch, x, y)
-        np.testing.assert_array_equal(s.f1_per_class, [1.0, 1.0])
+        np.testing.assert_array_equal(s, [1.0, 1.0])
 
     def test_constant_prediction_balanced(self):
         arch = [2, 2]
@@ -95,7 +95,7 @@ class TestComputeState:
         x = np.zeros((4, 2))
         y = np.array([0, 0, 1, 1])
         s, _ = compute_state(m.params, arch, x, y)
-        np.testing.assert_allclose(s.f1_per_class, [2 / 3, 0.0])
+        np.testing.assert_allclose(s, [2 / 3, 0.0])
 
     def test_range_and_purity(self):
         rng = np.random.default_rng(2)
@@ -105,8 +105,8 @@ class TestComputeState:
         y = rng.integers(0, 3, 30)
         s1, _ = compute_state(m.params, arch, x, y)
         s2, _ = compute_state(m.params, arch, x, y)
-        assert np.all((s1.f1_per_class >= 0) & (s1.f1_per_class <= 1))
-        np.testing.assert_array_equal(s1.f1_per_class, s2.f1_per_class)
+        assert np.all((s1 >= 0) & (s1 <= 1))
+        np.testing.assert_array_equal(s1, s2)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):

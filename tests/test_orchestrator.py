@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fedopt.data import dirichlet_partition, generate_synthetic, train_val_split
+from fedopt.agent import weighted_metric_action
+from fedopt.data import ClientPartition, dirichlet_partition, generate_synthetic, train_val_split
 from fedopt.nn import Mlp, backward, cross_entropy_loss, forward, sgd_step
 from fedopt.orchestrator import (
     ExperimentConfig,
+    _OptimizedClient,
+    _derived_seed,
     client_local_train,
     compute_performance_bound,
     dataset_loss,
@@ -174,6 +177,58 @@ class TestPostFlFinetune:
             post_fl_finetune([2, 2], np.zeros(6), np.zeros((0, 2)), np.array([]),
                              np.zeros((1, 2)), np.array([0]), 4, 0.1, 1, 5,
                              np.random.default_rng(0))
+
+
+class TestOptimizedClient:
+    ARCH = [4, 8, 3]
+
+    def _client(self, **overrides):
+        rng = np.random.default_rng(5)
+        part = ClientPartition(0, 3, [np.arange(4 * c, 4 * c + 4) for c in range(3)],
+                               np.array([12, 13, 14]))
+        y = np.array([0] * 4 + [1] * 4 + [2] * 4 + [0, 1, 2])
+        x = rng.normal(size=(15, 4)) + 2.0 * np.eye(4)[y]
+        return _OptimizedClient(small_cfg(**overrides), self.ARCH, part, x, y)
+
+    @pytest.mark.parametrize("eta", [1, 3])
+    def test_lookback_is_latest_run_round_at_or_before_t_minus_eta(self, eta):
+        opt = self._client(action_strategy="weighted_metric")
+        opt.cfg.agent.eta = eta
+        rng = np.random.default_rng(eta)
+        ran = {0, 2, 3, 7, 12}  # the rounds the client ran, with gaps
+        log: dict[int, np.ndarray] = {}  # the former per-round state log
+        for t in range(20):
+            raw, now = rng.uniform(0.1, 1.0, 3), rng.uniform(0, 1, 3)
+            earlier = [r for r in log if r <= max(0, t - eta)]
+            back = log[max(earlier)] if earlier else now
+            np.testing.assert_array_equal(opt._explore_action(raw, now, t),
+                                          weighted_metric_action(raw, now, back))
+            if t in ran:
+                log[t] = now
+                opt.history.append(t, 1.0)
+                opt.states.append(now)
+
+    def test_finish_pushes_terminal_transition_and_fine_tunes_on_all_rows(self):
+        opt = self._client(lr=0.5, batch_size=4)
+        w, _ = opt.round(Mlp.init_glorot(self.ARCH, np.random.default_rng(1)).params, 0)
+        assert len(opt.buffer) == 0 and opt.pending is not None
+        best, trace = opt.finish(w)
+        assert len(opt.buffer) == 1 and opt.pending is None
+        assert opt.buffer.sample_slices(1, 1, 0.9)[4][0] == 1.0  # terminal
+        cfg = opt.cfg
+        want = post_fl_finetune(self.ARCH, w, opt.x[:12], opt.y[:12], opt.x[12:], opt.y[12:],
+                                cfg.batch_size, cfg.lr, cfg.finetune_patience,
+                                cfg.finetune_max_epochs,
+                                np.random.default_rng(_derived_seed(cfg.seed_data, 53)))
+        assert np.array_equal(best, want[0]) and trace == want[1]
+
+    def test_training_rows_gathered_once_per_run(self, monkeypatch):
+        calls = []
+        gather = ClientPartition.all_train_indices
+        monkeypatch.setattr(ClientPartition, "all_train_indices",
+                            lambda p: calls.append(p.client_id) or gather(p))
+        run_federated(small_cfg(rounds=6))
+        assert sorted(calls) == [0, 0, 1, 2]  # each client, plus the optimized client once
 
 
 class TestPerformanceBound:
@@ -348,7 +403,7 @@ class TestRunFederated:
 
     @pytest.mark.parametrize("key", [
         "prox_mu", "fedavgm_beta", "fedavgm_server_lr", "spread", "agent.epsilon_start",
-        "agent.epsilon_end", "agent.actor_lr", "agent.critic_lr",
+        "agent.epsilon_end", "agent.actor_lr", "agent.critic_lr", "agent.epsilon_decay",
     ])
     def test_nan_range_settings_rejected_by_validate(self, key):
         # A config built in code skips the parser's finiteness check.
