@@ -42,31 +42,29 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    return parse_config(path)
+def _csv(header: str, rows) -> str:
+    return "".join(f"{line}\n" for line in (header, *rows))
 
 
-def _naive_mean(record: dict, optimized_id: int | None) -> dict[str, float]:
-    rows = [m for m in record["client_metrics"] if m["client"] != optimized_id]
-    if not rows:
-        rows = record["client_metrics"]
-    return {
-        key: float(np.mean([m[key] for m in rows]))
-        for key in ("accuracy", "precision", "recall")
-    }
+def _per_round(records: list[dict], opt_id: int | None, shown_id: int | None):
+    """(round, naive mean, shown client's row or None) for each record.
 
-
-def _client_row(record: dict, client_id: int) -> dict | None:
-    for m in record["client_metrics"]:
-        if m["client"] == client_id:
-            return m
-    return None
+    The naive mean holds precision, recall and accuracy averaged over every
+    client but `opt_id`; `run_federated` stops before round 0 unless some
+    naive client has validation rows.
+    """
+    for rec in records:
+        rows = rec["client_metrics"]
+        naive = [m for m in rows if m["client"] != opt_id]
+        if not naive:
+            raise ValueError(f"round {rec['round']}: no naive client has metrics")
+        mean = {key: float(np.mean([m[key] for m in naive]))
+                for key in ("precision", "recall", "accuracy")}
+        yield rec["round"], mean, next((m for m in rows if m["client"] == shown_id), None)
 
 
 def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
-    # Serialize before writing anything: a non-finite value raises here.
+    # Build every text before writing anything: a non-finite value raises here.
     records = [r.to_dict() for r in result.rounds]
     rounds_text = "".join(
         json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records
@@ -74,40 +72,32 @@ def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> N
     ft_text = "".join(
         json.dumps(e, sort_keys=True, allow_nan=False) + "\n" for e in result.finetune_trace
     )
+    opt_id = cfg.optimized_client
+    best_naive = dict.fromkeys(("precision", "recall", "accuracy"), 0.0)
+    best_opt = dict(best_naive)
+    for _, naive, row in _per_round(records, opt_id, opt_id):
+        for key in best_naive:
+            best_naive[key] = max(best_naive[key], naive[key])
+            if row:
+                best_opt[key] = max(best_opt[key], row[key])
+    for e in result.finetune_trace:
+        best_opt["accuracy"] = max(best_opt["accuracy"], e["val_accuracy"])
+    bests = {"naive_mean": best_naive}
+    if opt_id is not None:
+        bests["optimized"] = best_opt
+    summary = _csv("label,precision,recall,accuracy", (
+        f"{label},{b['precision']:.6f},{b['recall']:.6f},{b['accuracy']:.6f}"
+        for label, b in bests.items()))
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "config.resolved.cfg", emit_config(cfg))
     _atomic_write(out_dir / "rounds.jsonl", rounds_text)
     _atomic_write(out_dir / "finetune.jsonl", ft_text)
-
-    opt_id = cfg.optimized_client
-    best_naive = {"accuracy": 0.0, "precision": 0.0, "recall": 0.0}
-    best_opt = {"accuracy": 0.0, "precision": 0.0, "recall": 0.0}
-    for rec in records:
-        naive = _naive_mean(rec, opt_id)
-        for key in best_naive:
-            best_naive[key] = max(best_naive[key], naive[key])
-        if opt_id is not None:
-            row = _client_row(rec, opt_id)
-            if row:
-                for key in best_opt:
-                    best_opt[key] = max(best_opt[key], row[key])
-    if result.finetune_trace:
-        best_ft = max(e["val_accuracy"] for e in result.finetune_trace)
-        best_opt["accuracy"] = max(best_opt["accuracy"], best_ft)
-    lines = ["label,precision,recall,accuracy"]
-    lines.append(
-        f"naive_mean,{best_naive['precision']:.6f},{best_naive['recall']:.6f},{best_naive['accuracy']:.6f}"
-    )
-    if opt_id is not None:
-        lines.append(
-            f"optimized,{best_opt['precision']:.6f},{best_opt['recall']:.6f},{best_opt['accuracy']:.6f}"
-        )
-    _atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
+    _atomic_write(out_dir / "summary.csv", summary)
 
 
 def cmd_run(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg = ExperimentConfig() if args.config is None else parse_config(args.config)
     except (ConfigError, OSError) as exc:
         log.error("config: %s", exc)
         return EXIT_CONFIG
@@ -146,44 +136,31 @@ def _read_jsonl(path: Path) -> list[dict]:
 
 def cmd_plot_data(args) -> int:
     rounds_path = Path(args.rounds)
+    ft_path = rounds_path.parent / "finetune.jsonl"
     try:
         records = _read_jsonl(rounds_path)
-    except (OSError, ValueError) as exc:
+        # The run's own config names its optimized client, sampled or not;
+        # a naive-all run has none, and --optimized-client picks the one shown.
+        opt_id = parse_config(str(rounds_path.parent / "config.resolved.cfg")).optimized_client
+        shown_id = args.optimized_client if opt_id is None else opt_id
+        texts = {"accuracy.csv": _csv("round,naive_mean_acc,optimized_acc", (
+            f"{t},{naive['accuracy']:.6f},{(row['accuracy'] if row else float('nan')):.6f}"
+            for t, naive, row in _per_round(records, opt_id, shown_id)))}
+        fracs = [(r["round"], r["optimized"]["fractions"]) for r in records if r.get("optimized")]
+        if fracs:
+            header = "round," + ",".join(f"frac_{c}" for c in range(len(fracs[0][1])))
+            texts["fractions.csv"] = _csv(header, (
+                f"{t}," + ",".join(f"{v:.6f}" for v in f) for t, f in fracs))
+        if ft_path.exists():
+            texts["finetune.csv"] = _csv("epoch,finetune_acc", (
+                f"{e['epoch']},{e['val_accuracy']:.6f}" for e in _read_jsonl(ft_path)))
+    except (OSError, ValueError, ConfigError) as exc:
         log.error("plot-data: %s", exc)
         return EXIT_RUNTIME
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    # The naive mean leaves the optimized client out of every round, as
-    # summary.csv does; a run without one (the ablation) averages everyone.
-    run_opt_id = next((rec["optimized"]["client"] for rec in records if rec.get("optimized")),
-                      None)
-    opt_id = args.optimized_client if run_opt_id is None else run_opt_id
-
-    acc_lines = ["round,naive_mean_acc,optimized_acc"]
-    frac_lines = None
-    for rec in records:
-        naive = _naive_mean(rec, run_opt_id)
-        opt_row = _client_row(rec, opt_id)
-        opt_acc = opt_row["accuracy"] if opt_row else float("nan")
-        acc_lines.append(f"{rec['round']},{naive['accuracy']:.6f},{opt_acc:.6f}")
-        frag = rec.get("optimized")
-        if frag:
-            fracs = frag["fractions"]
-            if frac_lines is None:
-                header = ",".join(f"frac_{c}" for c in range(len(fracs)))
-                frac_lines = [f"round,{header}"]
-            frac_lines.append(f"{rec['round']}," + ",".join(f"{v:.6f}" for v in fracs))
-    _atomic_write(out_dir / "accuracy.csv", "\n".join(acc_lines) + "\n")
-    if frac_lines:
-        _atomic_write(out_dir / "fractions.csv", "\n".join(frac_lines) + "\n")
-
-    ft_path = rounds_path.parent / "finetune.jsonl"
-    if ft_path.exists():
-        trace = _read_jsonl(ft_path)
-        ft_lines = ["epoch,finetune_acc"]
-        ft_lines += [f"{e['epoch']},{e['val_accuracy']:.6f}" for e in trace]
-        _atomic_write(out_dir / "finetune.csv", "\n".join(ft_lines) + "\n")
+    for name, text in texts.items():
+        _atomic_write(out_dir / name, text)
     print(f"wrote plot data to {out_dir}")
     return EXIT_OK
 
@@ -196,9 +173,6 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def cmd_bound(args) -> int:
-    if len(args.Z) != len(args.z):
-        log.error("bound: Z and z must have equal length")
-        return EXIT_USAGE
     try:
         p_full, p_sel, omega = compute_performance_bound(args.Z, args.z)
     except ValueError as exc:

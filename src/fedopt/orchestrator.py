@@ -330,7 +330,7 @@ class _OptimizedClient:
                     l_est = est
                     l_ref = est
         mu_a = float(np.mean(fractions))
-        r = compute_reward(l_agg, l_ref, mu_a, cfg.reward, t)
+        r = compute_reward(l_agg, l_ref, mu_a, cfg.reward)
         _require_finite(where, l_agg=l_agg, l_local=l_local, l_ref=l_ref, reward=r)
         self.history.append(t, l_local)
         self.states.append(state)
@@ -385,11 +385,13 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
            else _OptimizedClient(cfg, arch, parts[cfg.optimized_client], x, y))
 
     # Per-round evaluation covers every client with validation rows at once:
-    # their rows back to back, and each row's slot in `val_parts`.
+    # their rows back to back, and each row's slot in `val_parts`. The naive
+    # mean that summary.csv compares against needs at least one naive client.
     val_parts = [p for p in parts if len(p.val_indices)]
-    if not val_parts:
-        names = ", ".join(f"client {p.client_id}" for p in parts)
-        raise ValueError(f"no client has validation rows to evaluate ({names})")
+    if all(p.client_id == cfg.optimized_client for p in val_parts):
+        naive = [f"client {p.client_id}" for p in parts if p.client_id != cfg.optimized_client]
+        names = ", ".join(naive) or f"client {cfg.optimized_client} is the only client"
+        raise ValueError(f"no naive client has validation rows to evaluate ({names})")
     val_rows = np.concatenate([p.val_indices for p in val_parts])
     val_slots = np.repeat(np.arange(len(val_parts)), [len(p.val_indices) for p in val_parts])
     val_y = y[val_rows]

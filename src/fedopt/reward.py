@@ -100,9 +100,7 @@ def estimate_loss(f: ExpFit, t: float) -> float:
     return -f.u * np.exp(-f.v * t)
 
 
-def compute_reward(
-    l_agg: float, l_ref: float, mu_a: float, cfg: RewardConfig, t: int
-) -> float:
+def compute_reward(l_agg: float, l_ref: float, mu_a: float, cfg: RewardConfig) -> float:
     """Relative loss improvement scaled by 1/(mean action - lambda).
 
     `l_ref` is the measured local loss before round tau and the fitted

@@ -109,15 +109,15 @@ def test_criterion_4_reward_properties():
         l_ref = rng.uniform(0.1, 3.0)
         l_agg = rng.uniform(0.1, 3.0)
         mu = rng.uniform(0.3, 1.0)
-        r = compute_reward(l_agg, l_ref, mu, cfg, 0)
+        r = compute_reward(l_agg, l_ref, mu, cfg)
         if l_agg > l_ref:
             assert r > 0
         elif l_agg < l_ref:
             assert r < 0
-        assert compute_reward(l_ref, l_ref, mu, cfg, 0) == 0.0
-    assert compute_reward(1.0, 0.5, 0.5, cfg, 0) == 4.0
+        assert compute_reward(l_ref, l_ref, mu, cfg) == 0.0
+    assert compute_reward(1.0, 0.5, 0.5, cfg) == 4.0
     grid = np.linspace(0.3, 1.0, 100)
-    rewards = [compute_reward(1.0, 0.5, mu, cfg, 0) for mu in grid]
+    rewards = [compute_reward(1.0, 0.5, mu, cfg) for mu in grid]
     assert all(a > b for a, b in zip(rewards, rewards[1:]))
     report("criterion 4: reward sign/zero/hand-value/monotonicity on 10^3 grid")
 

@@ -256,8 +256,18 @@ class TestCmdRun:
                        "optimized_client = none\n")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-        assert ("runtime: no client has validation rows to evaluate "
+        assert ("runtime: no naive client has validation rows to evaluate "
                 "(client 0, client 1, client 2, client 3)") in caplog.text
+        assert not out.exists()
+
+    def test_optimized_client_alone_exits_3(self, tmp_path, caplog):
+        # Its naive mean used to fall back to the optimized client's own metrics.
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("n_clients = 1\nrounds = 3\nn_per_class = 50\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert ("runtime: no naive client has validation rows to evaluate "
+                "(client 0 is the only client)") in caplog.text
         assert not out.exists()
 
     def test_huge_buffer_capacity_runs(self, small_config, tmp_path):
@@ -287,6 +297,19 @@ class TestCmdPlotData:
                      "--out", str(plots)]) == 0
         return out, plots
 
+    @staticmethod
+    def _naive_mean_without_client_0(out, plots):
+        """Check accuracy.csv's naive mean leaves optimized client 0 out of
+        every round and peaks at summary.csv's; returns (records, rows)."""
+        records = strict_json_lines(out / "rounds.jsonl")
+        acc = [line.split(",") for line in (plots / "accuracy.csv").read_text().splitlines()[1:]]
+        for rec, row in zip(records, acc, strict=True):
+            naive = [m["accuracy"] for m in rec["client_metrics"] if m["client"] != 0]
+            assert row[1] == f"{np.mean(naive):.6f}", rec["round"]
+        summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert max(row[1] for row in acc) == summary[3]
+        return records, acc
+
     def test_series_lengths(self, small_config, tmp_path):
         _, plots = self._run(small_config, tmp_path)
         acc = (plots / "accuracy.csv").read_text().splitlines()
@@ -309,15 +332,28 @@ class TestCmdPlotData:
         cfg.write_text(SMALL.replace("n_clients = 3", "n_clients = 4").replace("rounds = 3",
                                                                               "rounds = 8")
                        + "c_ratio = 0.5\n")
-        out, plots = self._run(cfg, tmp_path)
-        records = strict_json_lines(out / "rounds.jsonl")
+        records, _ = self._naive_mean_without_client_0(*self._run(cfg, tmp_path))
         assert any(r["optimized"] for r in records) and not all(r["optimized"] for r in records)
-        acc = [line.split(",") for line in (plots / "accuracy.csv").read_text().splitlines()[1:]]
-        for rec, row in zip(records, acc, strict=True):
-            naive = [m["accuracy"] for m in rec["client_metrics"] if m["client"] != 0]
-            assert row[1] == f"{np.mean(naive):.6f}", rec["round"]
-        summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
-        assert max(row[1] for row in acc) == summary[3]
+
+    def test_unsampled_optimized_client_stays_out_of_naive_mean(self, tmp_path):
+        # Client 0 is never sampled, so no record has an optimized fragment;
+        # the run's config still names it as the optimized client.
+        cfg = tmp_path / "unsampled.cfg"
+        cfg.write_text("n_clients = 10\nc_ratio = 0.1\nrounds = 3\nn_per_class = 50\n")
+        run = self._run(cfg, tmp_path, extra=("--seed", "1"))
+        records, acc = self._naive_mean_without_client_0(*run)
+        assert not any(r["optimized"] for r in records)
+        assert acc[0][:2] == ["0", "0.277778"]
+
+    def test_missing_run_config_exits_3_naming_it(self, small_config, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+        (out / "config.resolved.cfg").unlink()
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--rounds", str(out / "rounds.jsonl"),
+                     "--out", str(plots)]) == 3
+        assert "config.resolved.cfg" in caplog.text
+        assert not plots.exists()
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "rounds.jsonl"

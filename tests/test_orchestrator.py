@@ -440,9 +440,21 @@ class TestRunFederated:
         monkeypatch.setattr(orchestrator, "sample_clients", no_round)
         # one sample per class: no client has validation rows
         cfg = small_cfg(n_clients=4, n_per_class=1, optimized_client=None)
-        with pytest.raises(ValueError, match=r"no client has validation rows .*"
+        with pytest.raises(ValueError, match=r"no naive client has validation rows .*"
                                              r"\(client 0, client 1, client 2, client 3\)"):
             run_federated(cfg)
+
+    def test_optimized_client_alone_fails_before_round_0(self, monkeypatch):
+        # With no naive client, the naive mean would be the optimized client itself.
+        from fedopt import orchestrator
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(orchestrator, "sample_clients", no_round)
+        with pytest.raises(ValueError, match=r"no naive client has validation rows .*"
+                                             r"\(client 0 is the only client\)"):
+            run_federated(small_cfg(n_clients=1, optimized_client=0))
 
     @pytest.mark.parametrize("seed_data,split", [(2, "training"), (17, "validation")])
     def test_optimized_client_without_rows_fails_before_round_0(

@@ -104,37 +104,37 @@ class TestComputeReward:
     def test_zero_at_equal_losses(self):
         cfg = RewardConfig()
         for mu in (0.3, 0.5, 1.0):
-            assert compute_reward(0.7, 0.7, mu, cfg, 0) == 0.0
+            assert compute_reward(0.7, 0.7, mu, cfg) == 0.0
 
     def test_hand_value(self):
         cfg = RewardConfig(lam=0.25)
-        assert compute_reward(1.0, 0.5, 0.5, cfg, 0) == pytest.approx(4.0)
+        assert compute_reward(1.0, 0.5, 0.5, cfg) == pytest.approx(4.0)
 
     def test_monotone_decreasing_in_mean_action(self):
         cfg = RewardConfig(lam=0.25)
         grid = np.linspace(0.3, 1.0, 50)
-        rewards = [compute_reward(1.0, 0.5, mu, cfg, 0) for mu in grid]
+        rewards = [compute_reward(1.0, 0.5, mu, cfg) for mu in grid]
         assert all(a > b for a, b in zip(rewards, rewards[1:]))
 
     def test_sign_property(self):
         cfg = RewardConfig(lam=0.25)
-        assert compute_reward(1.0, 0.5, 0.6, cfg, 0) > 0
-        assert compute_reward(0.3, 0.5, 0.6, cfg, 0) < 0
+        assert compute_reward(1.0, 0.5, 0.6, cfg) > 0
+        assert compute_reward(0.3, 0.5, 0.6, cfg) < 0
 
     def test_divergence_guard(self):
         cfg = RewardConfig(lam=0.25, div_guard=1e-3)
-        r = compute_reward(1.0, 0.5, 0.25, cfg, 0)
+        r = compute_reward(1.0, 0.5, 0.25, cfg)
         assert np.isfinite(r)
         assert r == pytest.approx(1.0 / 1e-3)
 
     def test_nonpositive_reference(self):
         with pytest.raises(ValueError):
-            compute_reward(1.0, 0.0, 0.5, RewardConfig(), 0)
+            compute_reward(1.0, 0.0, 0.5, RewardConfig())
 
     def test_continuous_in_l_agg(self):
         cfg = RewardConfig()
-        r1 = compute_reward(1.0, 0.5, 0.6, cfg, 0)
-        r2 = compute_reward(1.0 + 1e-9, 0.5, 0.6, cfg, 0)
+        r1 = compute_reward(1.0, 0.5, 0.6, cfg)
+        r2 = compute_reward(1.0 + 1e-9, 0.5, 0.6, cfg)
         assert abs(r1 - r2) < 1e-6
 
     def test_invalid_config(self):
