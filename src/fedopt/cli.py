@@ -137,6 +137,7 @@ def _read_jsonl(path: Path) -> list[dict]:
 def cmd_plot_data(args) -> int:
     rounds_path = Path(args.rounds)
     ft_path = rounds_path.parent / "finetune.jsonl"
+    source = rounds_path  # the file whose records are being read
     try:
         records = _read_jsonl(rounds_path)
         # The run's own config names its optimized client, sampled or not;
@@ -152,10 +153,15 @@ def cmd_plot_data(args) -> int:
             texts["fractions.csv"] = _csv(header, (
                 f"{t}," + ",".join(f"{v:.6f}" for v in f) for t, f in fracs))
         if ft_path.exists():
+            source = ft_path
             texts["finetune.csv"] = _csv("epoch,finetune_acc", (
                 f"{e['epoch']},{e['val_accuracy']:.6f}" for e in _read_jsonl(ft_path)))
     except (OSError, ValueError, ConfigError) as exc:
         log.error("plot-data: %s", exc)
+        return EXIT_RUNTIME
+    except (KeyError, TypeError, AttributeError) as exc:
+        # Valid JSON, but not the record fedopt writes: a key is missing or has the wrong type.
+        log.error("plot-data: %s: malformed record (%s: %s)", source, type(exc).__name__, exc)
         return EXIT_RUNTIME
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

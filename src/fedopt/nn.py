@@ -3,6 +3,11 @@
 All arithmetic is float64. Parameters travel between clients and the
 server as flat vectors (layer 0 weights row-major, layer 0 biases,
 layer 1 weights, ...).
+
+Every function also takes G models at once: (G, P) parameters, (G, m, d)
+inputs and (G, m) labels. Slice g computes bit for bit what the 2-D call on
+it computes: matmul makes one BLAS call per slice, and each sum runs along
+the same axis in the same order.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ class Mlp:
 
     All parameters live in one float64 vector `params` in the canonical
     layout; `weights` and `biases` are tuples of reshaped views of it, so
-    writing to `params` changes the model without a copy.
+    writing to `params` changes the model without a copy. A (G, P) `params`
+    holds G models: weights are (G, a, b) and biases (G, 1, b) views.
     """
 
     def __init__(self, layer_dims: list[int], params: np.ndarray | None = None):
@@ -26,13 +32,15 @@ class Mlp:
         n = sum((a + 1) * b for a, b in pairs)
         if params is None:
             params = np.zeros(n)
-        elif params.dtype != np.float64 or params.shape != (n,):
-            raise ValueError(f"need a float64 vector of length {n}, got {params.dtype} {params.shape}")
+        elif params.dtype != np.float64 or params.ndim not in (1, 2) or params.shape[-1] != n:
+            raise ValueError(f"need float64 parameters of length {n}, got {params.dtype} {params.shape}")
+        lead = params.shape[:-1]
         weights, biases, off = [], [], 0
         for a, b in pairs:
-            weights.append(params[off : off + a * b].reshape(a, b))
+            weights.append(params[..., off : off + a * b].reshape(*lead, a, b))
             off += a * b
-            biases.append(params[off : off + b])
+            biases.append(params[..., off : off + b].reshape(*lead, 1, b) if lead
+                          else params[off : off + b])
             off += b
         self.layer_dims, self.params = dims, params
         self.weights, self.biases = tuple(weights), tuple(biases)
@@ -57,8 +65,8 @@ class Mlp:
 def forward(model: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """Forward pass; fills `cache` with per-layer activations if given."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.layer_dims[0]:
-        raise ValueError(f"input dim {x.shape[1]} != {model.layer_dims[0]}")
+    if x.shape[-1] != model.layer_dims[0]:
+        raise ValueError(f"input dim {x.shape[-1]} != {model.layer_dims[0]}")
     acts = [x]
     h = x
     last = len(model.weights) - 1
@@ -72,20 +80,26 @@ def forward(model: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
 
 
 def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. logits."""
+    """Mean softmax cross-entropy and its gradient w.r.t. logits.
+
+    For (G, n, c) logits the loss is an array of G per-model means.
+    """
     logits = np.atleast_2d(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.shape
+    n, c = logits.shape[-2:]
     if n == 0:
         raise ValueError("empty batch")
-    if labels.min() < 0 or labels.max() >= c:
+    # The ufunc reductions are what min/max/sum/mean compute, without their wrappers.
+    if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= c:
         raise ValueError(f"label out of range [0, {c})")
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), labels].mean()
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_probs = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    # Row r of the (rows, c) view picks class labels[r].
+    picked = np.arange(labels.size), labels.ravel()
+    loss = -(np.add.reduce(log_probs.reshape(-1, c)[picked].reshape(labels.shape), axis=-1) / n)
     d = np.exp(log_probs)
-    d[np.arange(n), labels] -= 1.0
-    return float(loss), d / n
+    d.reshape(-1, c)[picked] -= 1.0
+    return (float(loss) if loss.ndim == 0 else loss), d / n
 
 
 def backward(model: Mlp, cache: dict, d_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +114,14 @@ def backward(model: Mlp, cache: dict, d_logits: np.ndarray) -> tuple[np.ndarray,
         raise ValueError("stale forward cache")
     grads = [None] * (2 * len(model.weights))  # w0, b0, w1, b1, ...: the canonical layout
     delta = np.atleast_2d(d_logits)
+    lead = delta.shape[:-2]
     for i in reversed(range(len(model.weights))):
-        grads[2 * i] = (acts[i].T @ delta).ravel()
-        grads[2 * i + 1] = delta.sum(axis=0)
-        delta = delta @ model.weights[i].T
+        grads[2 * i] = (acts[i].mT @ delta).reshape(*lead, -1)
+        grads[2 * i + 1] = delta.sum(axis=-2)
+        delta = delta @ model.weights[i].mT
         if i > 0:
             delta = delta * (acts[i] > 0.0)
-    return np.concatenate(grads), delta
+    return np.concatenate(grads, axis=-1), delta
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:

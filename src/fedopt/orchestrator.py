@@ -10,6 +10,7 @@ configs replay bit-identically.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -131,7 +132,11 @@ class RunResult:
 
 
 def sample_clients(n_clients: int, c_ratio: float, rng: np.random.Generator) -> list[int]:
-    size = math.ceil(c_ratio * n_clients)
+    # ceil(c_ratio * n_clients) in integers on the decimal ratio as written
+    # (its shortest repr): the float product 0.07 * 100 is 7.000000000000001.
+    mantissa, _, exp = repr(c_ratio).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    size = -(-int(whole + frac) * n_clients // 10 ** (len(frac) - int(exp or 0)))
     return sorted(rng.choice(n_clients, size=size, replace=False).tolist())
 
 
@@ -164,12 +169,6 @@ def _derived_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for i in range(0, n, batch_size):
-        yield order[i : i + batch_size]
-
-
 def client_local_train(
     arch: list[int],
     w_init: np.ndarray,
@@ -178,36 +177,71 @@ def client_local_train(
     epochs: int,
     batch_size: int,
     lr: float,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
+    sizes: list[int],
     prox_mu: float = 0.0,
     w_global: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mini-batch SGD from w_init; optional proximal pull toward w_global."""
-    if len(y) == 0:
+) -> list[np.ndarray]:
+    """Mini-batch SGD from w_init for K clients in lockstep; returns one new vector each.
+
+    `x` and `y` hold the clients' rows back to back, `sizes[c]` rows for client
+    c, who draws one permutation of its rows per epoch from `rngs[c]`. Only
+    batches of equal shape are stacked, so each client ends exactly where serial
+    SGD over its own rows would. An optional proximal term pulls toward w_global.
+    """
+    if len(sizes) == 0 or min(sizes) < 1:
         raise ValueError("empty training subset")
-    params = np.array(w_init, dtype=np.float64)
-    model = Mlp(arch, params)
+    if sum(sizes) != len(y) or len(rngs) != len(sizes):
+        raise ValueError(f"sizes {sizes} need {sum(sizes)} rows and {len(sizes)} rngs")
+    order = sorted(range(len(sizes)), key=lambda k: -sizes[k])  # stable: largest first
+    starts = list(itertools.accumulate(sizes, initial=0))
+    n = [sizes[k] for k in order]
+    stack = np.repeat(np.asarray(w_init, dtype=np.float64)[None], len(n), axis=0)
+    # A step trains the clients of one contiguous slice of the stack on
+    # batches of one shape: at each offset the clients with a full batch left
+    # (a prefix of this order), and after those each run of clients with equal
+    # row counts on its last, partial batch. A client's own steps stay in order.
+    models: dict[tuple[int, int], Mlp] = {}
+    steps = []  # (model, its rows of the stack, batch offset, batch rows), the same every epoch
+
+    def add_step(a: int, b: int, i: int, m: int) -> None:
+        rows = a if b - a == 1 else slice(a, b)  # a step of one client drops the client axis
+        if (a, b) not in models:
+            models[a, b] = Mlp(arch, stack[rows])
+        steps.append((models[a, b], rows, i, m))
+
+    for i in range(0, n[0] - batch_size + 1, batch_size):
+        add_step(0, sum(v >= i + batch_size for v in n), i, batch_size)
+    a = 0
+    for v, run in itertools.groupby(n):
+        b = a + len(list(run))
+        if v % batch_size:
+            add_step(a, b, v - v % batch_size, v % batch_size)
+        a = b
+    # Row c holds client order[c]'s permuted rows of x; only its first n[c] are read.
+    perm = np.zeros((len(n), n[0]), dtype=np.intp)
     for _ in range(epochs):
-        for batch in _batches(len(y), batch_size, rng):
+        for c, k in enumerate(order):
+            np.add(starts[k], rngs[k].permutation(n[c]), out=perm[c, : n[c]])
+        for model, rows, i, m in steps:
+            batch = perm[rows, i : i + m]
             cache: dict = {}
             logits = forward(model, x[batch], cache)
             _, d_logits = cross_entropy_loss(logits, y[batch])
             grads, _ = backward(model, cache, d_logits)
             if prox_mu > 0.0 and w_global is not None:
-                grads = grads + prox_mu * (params - w_global)
-            params[...] = sgd_step(params, grads, lr)
-    return params
+                grads += prox_mu * (model.params - w_global)
+            model.params[...] = sgd_step(model.params, grads, lr)
+    return [stack[c].copy() for c in np.argsort(order)]
 
 
-def _train_client(cfg: ExperimentConfig, arch: list[int], w_global: np.ndarray,
-                  x: np.ndarray, y: np.ndarray, t: int, k: int) -> np.ndarray:
-    """Client k's local training in round t from the global model; stops a diverged run."""
-    train_rng = np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, k))
+def _local_train(cfg: ExperimentConfig, arch: list[int], w_global: np.ndarray, x: np.ndarray,
+                 y: np.ndarray, t: int, clients: list[int], sizes: list[int]) -> list[np.ndarray]:
+    """Round t's local training of `clients` (rows back to back in x, y) from the global model."""
+    rngs = [np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, k)) for k in clients]
     prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
-    w_k = client_local_train(arch, w_global, x, y, cfg.local_epochs, cfg.batch_size, cfg.lr,
-                             train_rng, prox, w_global)
-    _require_finite(f"round {t}: client {k}", parameters=w_k)
-    return w_k
+    return client_local_train(arch, w_global, x, y, cfg.local_epochs, cfg.batch_size, cfg.lr,
+                              rngs, sizes, prox, w_global)
 
 
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -239,7 +273,8 @@ def post_fl_finetune(
     stale = 0
     trace = []
     for epoch in range(1, max_epochs + 1):
-        params = client_local_train(arch, params, x_train, y_train, 1, batch_size, lr, rng)
+        (params,) = client_local_train(arch, params, x_train, y_train, 1, batch_size, lr, [rng],
+                                       [len(y_train)])
         _require_finite(f"fine-tune epoch {epoch}", parameters=params)
         acc = accuracy(evaluate(Mlp(arch, params), x_val, y_val))
         trace.append({"epoch": epoch, "val_accuracy": acc})
@@ -317,7 +352,9 @@ class _OptimizedClient:
         _require_finite(where, fractions=fractions)
 
         sel = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed_data, 41, t))
-        w_new = _train_client(cfg, arch, w_global, self.x[sel], self.y[sel], t, part.client_id)
+        (w_new,) = _local_train(cfg, arch, w_global, self.x[sel], self.y[sel], t,
+                                [part.client_id], [len(sel)])
+        _require_finite(where, parameters=w_new)
         l_local = dataset_loss(arch, w_new, self.xt, self.yt)
 
         l_est = None
@@ -401,18 +438,26 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
 
     for t in range(cfg.rounds):
         sampled = sample_clients(cfg.n_clients, cfg.c_ratio, rng_sampling)
+        # Every sampled naive client with training rows trains in one lockstep call.
+        naive = [k for k in sampled
+                 if len(train_rows[k]) and (opt is None or k != cfg.optimized_client)]
+        trained = {}
+        if naive:
+            rows = np.concatenate([train_rows[k] for k in naive])
+            trained = dict(zip(naive, _local_train(
+                cfg, arch, server.global_params, x[rows], y[rows], t, naive,
+                [len(train_rows[k]) for k in naive])))
         updates = []
         opt_fragment = None
         for k in sampled:
-            idx = train_rows[k]
-            if len(idx) == 0:
-                continue
-            if opt is not None and k == cfg.optimized_client:
+            if k in trained:  # checked in sampled order: a divergence names the first client
+                w_k, n_used = trained[k], len(train_rows[k])
+                _require_finite(f"round {t}: client {k}", parameters=w_k)
+            elif opt is not None and k == cfg.optimized_client:
                 w_k, opt_fragment = opt.round(server.global_params, t)
                 n_used = opt_fragment["samples_used"]
             else:
-                w_k = _train_client(cfg, arch, server.global_params, x[idx], y[idx], t, k)
-                n_used = len(idx)
+                continue
             client_params[k] = w_k
             updates.append(ClientUpdate(k, w_k, n_used))
         if not updates:

@@ -360,6 +360,27 @@ class TestCmdPlotData:
         bad.write_text('{"round": 0}\nnot json\n')
         assert main(["plot-data", "--rounds", str(bad), "--out", str(tmp_path / "p")]) == 3
 
+    @pytest.mark.parametrize("name,line", [
+        ("rounds.jsonl", '{"round": 0}'),
+        ("rounds.jsonl", '{"round": 0, "client_metrics": [{"client": 1}], "optimized": null}'),
+        ("rounds.jsonl", '{"round": 0, "client_metrics": 5, "optimized": null}'),
+        ("rounds.jsonl", '[0, 1]'),
+        ("finetune.jsonl", '{"epoch": 1}'),
+    ], ids=["no_client_metrics", "metric_missing", "metrics_not_a_list", "not_an_object",
+            "finetune_no_accuracy"])
+    def test_json_record_of_the_wrong_shape_exits_3_naming_the_file(
+        self, small_config, tmp_path, caplog, name, line
+    ):
+        # Each line parses as JSON beside a valid config.resolved.cfg.
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+        (out / name).write_text(line + "\n")
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--rounds", str(out / "rounds.jsonl"),
+                     "--out", str(plots)]) == 3
+        assert f"plot-data: {out / name}: malformed record" in caplog.text
+        assert not plots.exists()
+
 
 class TestLogLevel:
     def test_unknown_level_is_a_usage_error(self, small_config, monkeypatch, caplog):

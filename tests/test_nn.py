@@ -260,3 +260,49 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
+
+
+class TestClientStack:
+    """A (G, P) parameter stack holds G models; every function works slice by slice."""
+
+    def test_stack_layout(self):
+        dims = [3, 4, 2]
+        stack = np.arange(3 * 26, dtype=np.float64).reshape(3, 26)
+        m = Mlp(dims, stack)
+        assert m.params is stack
+        assert [w.shape for w in m.weights] == [(3, 3, 4), (3, 4, 2)]
+        assert [b.shape for b in m.biases] == [(3, 1, 4), (3, 1, 2)]
+        assert all(np.shares_memory(a, stack) for a in m.weights + m.biases)
+        for g in range(3):
+            one = Mlp(dims, stack[g])
+            for a, b in zip(one.weights + one.biases, m.weights + m.biases):
+                np.testing.assert_array_equal(a, b[g].reshape(a.shape))
+
+    def test_rejects_more_than_one_leading_axis(self):
+        with pytest.raises(ValueError):
+            Mlp([2, 2], np.zeros((2, 1, 6)))
+
+    @pytest.mark.parametrize("dims", [[3, 1, 2], [4, 8, 4], [2, 3, 4, 2], [5, 3]])
+    @pytest.mark.parametrize("groups,rows", [(1, 1), (3, 1), (3, 7), (5, 32)])
+    def test_four_functions_equal_the_2d_calls_slice_by_slice(self, dims, groups, rows):
+        rng = np.random.default_rng(groups * 100 + rows)
+        stack = np.stack([Mlp.init_glorot(dims, rng).params for _ in range(groups)])
+        x = rng.normal(size=(groups, rows, dims[0]))
+        y = rng.integers(0, dims[-1], size=(groups, rows))
+        m = Mlp(dims, stack)
+        cache = {}
+        logits = forward(m, x, cache)
+        loss, d_logits = cross_entropy_loss(logits, y)
+        grads, d_in = backward(m, cache, d_logits)
+        stepped = sgd_step(stack, grads, 0.3)
+        assert loss.shape == (groups,) and grads.shape == stack.shape
+        for g in range(groups):
+            one = Mlp(dims, stack[g].copy())
+            c1 = {}
+            lg1 = forward(one, x[g], c1)
+            l1, d1 = cross_entropy_loss(lg1, y[g])
+            g1, di1 = backward(one, c1, d1)
+            assert np.array_equal(logits[g], lg1)
+            assert loss[g] == l1 and np.array_equal(d_logits[g], d1)
+            assert np.array_equal(grads[g], g1) and np.array_equal(d_in[g], di1)
+            assert np.array_equal(stepped[g], sgd_step(one.params, g1, 0.3))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,13 @@ def small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+def _train_one(arch, w, x, y, epochs, batch_size, lr, rng, prox_mu=0.0, w_global=None):
+    """client_local_train for a single client."""
+    (out,) = client_local_train(arch, w, x, y, epochs, batch_size, lr, [rng], [len(y)],
+                                prox_mu, w_global)
+    return out
+
+
 class TestClientLocalTrain:
     def _problem(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -40,12 +48,12 @@ class TestClientLocalTrain:
 
     def test_zero_lr_unchanged(self):
         arch, w, x, y = self._problem()
-        out = client_local_train(arch, w, x, y, 2, 4, 0.0, np.random.default_rng(0))
+        out = _train_one(arch, w, x, y, 2, 4, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, w)
 
     def test_full_batch_equals_single_sgd_step(self):
         arch, w, x, y = self._problem(1)
-        out = client_local_train(arch, w, x, y, 1, len(y), 0.1, np.random.default_rng(0))
+        out = _train_one(arch, w, x, y, 1, len(y), 0.1, np.random.default_rng(0))
         m = Mlp(arch, w)
         cache = {}
         _, d = cross_entropy_loss(forward(m, x, cache), y)
@@ -61,8 +69,8 @@ class TestClientLocalTrain:
 
     def test_prox_step_adds_mu_times_distance_to_global(self):
         w_global = np.array([0.0, 1.0, -2.0, 0.0])
-        out = client_local_train([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
-                                 np.random.default_rng(0), 2.0, w_global)
+        out = _train_one([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
+                         np.random.default_rng(0), 2.0, w_global)
         # grad = CE grad + 2 * (w - w_global) = [1.5, 0.5, 3.5, 0.5]
         expected = self.PROX_W - 0.5 * (self.PROX_CE_GRAD + 2.0 * (self.PROX_W - w_global))
         np.testing.assert_allclose(expected, [0.25, 0.75, -1.75, -0.25], atol=1e-15)
@@ -73,17 +81,17 @@ class TestClientLocalTrain:
     ], ids=["mu_zero", "global_equals_w", "no_global"])
     def test_prox_term_vanishes(self, prox_mu, w_global):
         # mu = 0, w_global = w, or no w_global: the step is plain cross-entropy SGD
-        out = client_local_train([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
-                                 np.random.default_rng(0), prox_mu, w_global)
+        out = _train_one([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
+                         np.random.default_rng(0), prox_mu, w_global)
         np.testing.assert_array_equal(
-            out, client_local_train([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
-                                    np.random.default_rng(0)))
+            out, _train_one([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
+                            np.random.default_rng(0)))
         np.testing.assert_allclose(out, self.PROX_W - 0.5 * self.PROX_CE_GRAD, atol=1e-15)
 
     def test_prox_global_length_mismatch(self):
         with pytest.raises(ValueError):
-            client_local_train([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
-                               np.random.default_rng(0), 1.0, np.zeros(3))
+            _train_one([1, 2], self.PROX_W, self.PROX_X, self.PROX_Y, 1, 1, 0.5,
+                       np.random.default_rng(0), 1.0, np.zeros(3))
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(2)
@@ -92,17 +100,25 @@ class TestClientLocalTrain:
         x = np.vstack([rng.normal(-2, 0.5, (30, 2)), rng.normal(2, 0.5, (30, 2))])
         y = np.repeat([0, 1], 30)
         before = dataset_loss(arch, w, x, y)
-        out = client_local_train(arch, w, x, y, 20, 16, 0.1, np.random.default_rng(3))
+        out = _train_one(arch, w, x, y, 20, 16, 0.1, np.random.default_rng(3))
         assert dataset_loss(arch, out, x, y) < before
 
     def test_empty_subset(self):
-        with pytest.raises(ValueError):
-            client_local_train([2, 2], np.zeros(6), np.zeros((0, 2)), np.array([]), 1, 4, 0.1,
-                               np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty training subset"):
+            _train_one([2, 2], np.zeros(6), np.zeros((0, 2)), np.array([]), 1, 4, 0.1,
+                       np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty training subset"):
+            client_local_train([2, 2], np.zeros(6), np.zeros((3, 2)), np.zeros(3, dtype=int), 1,
+                               4, 0.1, [np.random.default_rng(0)] * 2, [3, 0])
+
+    def test_sizes_must_cover_the_rows_given(self):
+        with pytest.raises(ValueError, match=r"sizes \[3, 2\] need 5 rows and 2 rngs"):
+            client_local_train([2, 2], np.zeros(6), np.zeros((6, 2)), np.zeros(6, dtype=int), 1,
+                               4, 0.1, [np.random.default_rng(0)] * 2, [3, 2])
 
     @staticmethod
     def _reference(arch, w_init, x, y, epochs, batch_size, lr, rng, prox_mu, w_global):
-        """Copying loop: every step builds a new Mlp over a new vector."""
+        """Serial copying loop for one client: every step builds a new Mlp over a new vector."""
         model = Mlp(list(arch), np.array(w_init, dtype=np.float64))
         for _ in range(epochs):
             order = rng.permutation(len(y))
@@ -126,13 +142,57 @@ class TestClientLocalTrain:
         x = rng.normal(size=(45, 4))  # 45 rows: the last batch is partial for 7 and 16
         y = rng.integers(0, 3, 45)
         before = w_init.copy()
-        out = client_local_train(arch, w_init, x, y, epochs, batch_size, 0.2,
-                                 np.random.default_rng(9), prox_mu, w_global)
+        out = _train_one(arch, w_init, x, y, epochs, batch_size, 0.2,
+                         np.random.default_rng(9), prox_mu, w_global)
         ref = self._reference(arch, w_init, x, y, epochs, batch_size, 0.2,
                               np.random.default_rng(9), prox_mu, w_global)
         assert np.array_equal(out, ref)
         assert not np.array_equal(out, w_init)
         assert np.array_equal(w_init, before)
+
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    @pytest.mark.parametrize("sizes,epochs,batch_size", [
+        # ragged and unsorted: a 1-row client, two clients of 20 rows, and last
+        # batches of 1 to 7 rows next to full ones
+        ([20, 1, 37, 20, 6, 55, 3], 1, 8),
+        ([20, 1, 37, 20, 6, 55, 3], 3, 8),
+        # batch_size larger than every client: one partial batch each, in runs of equal size
+        ([5, 9, 2, 9, 5], 2, 64),
+        ([30], 3, 7),  # K = 1
+        ([1], 1, 4),
+    ], ids=["ragged", "ragged_3_epochs", "batch_over_every_client", "one_client",
+            "one_row"])
+    def test_lockstep_matches_serial_reference_bit_for_bit(self, sizes, epochs, batch_size,
+                                                           prox_mu):
+        rng = np.random.default_rng(len(sizes) + epochs)
+        arch = [5, 7, 4]
+        w_init = Mlp.init_glorot(arch, rng).params.copy()
+        w_global = w_init + rng.normal(scale=0.1, size=w_init.shape)
+        x = rng.normal(size=(sum(sizes), 5))
+        y = rng.integers(0, 4, sum(sizes))
+        seeds = [_derived_seed(3, 29, k) for k in range(len(sizes))]
+        before = w_init.copy()
+        out = client_local_train(arch, w_init, x, y, epochs, batch_size, 0.2,
+                                 [np.random.default_rng(s) for s in seeds], sizes,
+                                 prox_mu, w_global)
+        assert len(out) == len(sizes)
+        starts = np.cumsum([0, *sizes])
+        for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            ref = self._reference(arch, w_init, x[lo:hi], y[lo:hi], epochs, batch_size, 0.2,
+                                  np.random.default_rng(seeds[k]), prox_mu, w_global)
+            assert np.array_equal(out[k], ref), f"client {k}"
+        assert np.array_equal(w_init, before)
+
+    def test_each_client_gets_its_own_array(self):
+        rng = np.random.default_rng(4)
+        arch = [3, 4, 2]
+        sizes = [9, 4, 9, 1]
+        out = client_local_train(arch, Mlp.init_glorot(arch, rng).params, rng.normal(size=(23, 3)),
+                                 rng.integers(0, 2, 23), 1, 4, 0.1,
+                                 [np.random.default_rng(k) for k in range(4)], sizes)
+        for a, b in itertools.combinations(out, 2):
+            assert not np.shares_memory(a, b)
+        assert all(w.base is None and w.shape == out[0].shape for w in out)
 
 
 class TestPostFlFinetune:
@@ -267,6 +327,14 @@ class TestSampleClients:
         for ratio in (0.1, 0.5, 0.7):
             assert len(sample_clients(8, ratio, rng)) == math.ceil(ratio * 8)
 
+    @pytest.mark.parametrize("n_clients,c_ratio,expect", [
+        (100, 0.07, 7), (200, 0.07, 14), (50, 0.14, 7), (100, 0.55, 55), (175, 0.68, 119),
+        (200, 0.1, 20), (8, 1.0, 8), (4, 1e-9, 1), (3, 0.5, 2), (100, 0.071, 8),
+    ])
+    def test_sample_size_is_exact_for_the_decimal_ratio(self, n_clients, c_ratio, expect):
+        # The float product 0.07 * 100 is 7.000000000000001; its ceiling used to sample 8.
+        assert len(sample_clients(n_clients, c_ratio, np.random.default_rng(0))) == expect
+
     def test_uniform_inclusion(self):
         rng = np.random.default_rng(2)
         counts = np.zeros(8)
@@ -299,6 +367,54 @@ class TestRunFederated:
         for a, b in zip(opt.rounds, naive.rounds):
             assert a.client_metrics == b.client_metrics
             assert a.optimized["samples_used"] == a.optimized["train_size"]
+
+    def test_naive_clients_of_a_round_train_in_one_call(self, monkeypatch):
+        from fedopt import orchestrator
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[8]))  # sizes: one entry per client
+            return client_local_train(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "client_local_train", counting)
+        cfg = small_cfg(n_clients=5, rounds=3, finetune_max_epochs=2, finetune_patience=5)
+        res = run_federated(cfg)
+        # per round: the 4 naive clients at once, then the optimized client; then 2 fine-tune epochs
+        assert calls == [4, 1] * 3 + [1, 1]
+        assert len(res.finetune_trace) == 2
+
+    def test_non_finite_client_in_a_stacked_round_exits_3_naming_the_first(
+        self, monkeypatch, tmp_path, caplog
+    ):
+        from fedopt import orchestrator
+        from fedopt.cli import main
+
+        outputs = []
+
+        def poisoned(arch, w_init, x, y, epochs, batch_size, lr, rngs, sizes, *rest):
+            # In the naive clients' call, NaN features for its 2nd and 4th client.
+            if len(sizes) > 1:
+                x = x.copy()
+                starts = np.cumsum([0, *sizes])
+                for c in (1, 3):
+                    x[starts[c] : starts[c + 1]] = np.nan
+            out = client_local_train(arch, w_init, x, y, epochs, batch_size, lr, rngs, sizes,
+                                     *rest)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(orchestrator, "client_local_train", poisoned)
+        cfg = tmp_path / "six.cfg"
+        cfg.write_text("n_clients = 6\nrounds = 2\nn_per_class = 60\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        # Client 0 is optimized, so the call trains clients 1-5 and clients 2 and 4 diverge.
+        assert "runtime: round 0: client 2: non-finite parameters (diverged)" in caplog.text
+        # The naive call came first; the optimized client's call then trained cleanly.
+        assert [np.isfinite(w).all() for w in outputs[0]] == [True, False, True, False, True]
+        assert len(outputs) == 2 and np.isfinite(outputs[1][0]).all()
+        assert not out.exists()
 
     def test_l_agg_matches_independent_recomputation(self):
         cfg = small_cfg()
