@@ -89,14 +89,13 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
     n, c = logits.shape[-2:]
     if n == 0:
         raise ValueError("empty batch")
-    # The ufunc reductions are what min/max/sum/mean compute, without their wrappers.
-    if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= c:
+    if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label out of range [0, {c})")
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    log_probs = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     # Row r of the (rows, c) view picks class labels[r].
     picked = np.arange(labels.size), labels.ravel()
-    loss = -(np.add.reduce(log_probs.reshape(-1, c)[picked].reshape(labels.shape), axis=-1) / n)
+    loss = -log_probs.reshape(-1, c)[picked].reshape(labels.shape).mean(axis=-1)
     d = np.exp(log_probs)
     d.reshape(-1, c)[picked] -= 1.0
     return (float(loss) if loss.ndim == 0 else loss), d / n
@@ -116,9 +115,9 @@ def backward(model: Mlp, cache: dict, d_logits: np.ndarray) -> tuple[np.ndarray,
     delta = np.atleast_2d(d_logits)
     lead = delta.shape[:-2]
     for i in reversed(range(len(model.weights))):
-        grads[2 * i] = (acts[i].mT @ delta).reshape(*lead, -1)
+        grads[2 * i] = (acts[i].swapaxes(-1, -2) @ delta).reshape(*lead, -1)
         grads[2 * i + 1] = delta.sum(axis=-2)
-        delta = delta @ model.weights[i].mT
+        delta = delta @ model.weights[i].swapaxes(-1, -2)
         if i > 0:
             delta = delta * (acts[i] > 0.0)
     return np.concatenate(grads, axis=-1), delta

@@ -134,7 +134,7 @@ class RunResult:
 def sample_clients(n_clients: int, c_ratio: float, rng: np.random.Generator) -> list[int]:
     # ceil(c_ratio * n_clients) in integers on the decimal ratio as written
     # (its shortest repr): the float product 0.07 * 100 is 7.000000000000001.
-    mantissa, _, exp = repr(c_ratio).partition("e")
+    mantissa, _, exp = repr(float(c_ratio)).partition("e")
     whole, _, frac = mantissa.partition(".")
     size = -(-int(whole + frac) * n_clients // 10 ** (len(frac) - int(exp or 0)))
     return sorted(rng.choice(n_clients, size=size, replace=False).tolist())

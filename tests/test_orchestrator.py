@@ -330,6 +330,7 @@ class TestSampleClients:
     @pytest.mark.parametrize("n_clients,c_ratio,expect", [
         (100, 0.07, 7), (200, 0.07, 14), (50, 0.14, 7), (100, 0.55, 55), (175, 0.68, 119),
         (200, 0.1, 20), (8, 1.0, 8), (4, 1e-9, 1), (3, 0.5, 2), (100, 0.071, 8),
+        (100, np.float64(0.07), 7),
     ])
     def test_sample_size_is_exact_for_the_decimal_ratio(self, n_clients, c_ratio, expect):
         # The float product 0.07 * 100 is 7.000000000000001; its ceiling used to sample 8.
