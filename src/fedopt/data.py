@@ -60,20 +60,26 @@ def generate_synthetic(
 def load_csv(path: str) -> LabeledDataset:
     """Header-free numeric CSV, one sample per row, integer label last.
 
-    A file with no rows, or a label that is not a non-negative integer,
-    raises ValueError naming the path and the first bad row; so does a
-    file whose labels hold fewer than two classes.
+    A file with no rows or no feature column, a non-finite feature, or a
+    label that is not a non-negative integer raises ValueError naming the
+    path and the first bad row; so does a file whose labels hold fewer than
+    two classes.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
     if raw.size == 0:
         raise ValueError(f"{path}: no data rows")
+    if raw.shape[1] < 2:
+        raise ValueError(f"{path}: no feature column, only a label per row")
     col = raw[:, -1]
-    bad = np.flatnonzero(~np.isfinite(col) | (col < 0) | (col != np.floor(col)))
+    bad_feature = ~np.isfinite(raw[:, :-1]).all(axis=1)
+    bad = np.flatnonzero(bad_feature | ~np.isfinite(col) | (col < 0) | (col != np.floor(col)))
     if len(bad):
-        raise ValueError(f"{path}: data row {bad[0] + 1}: label {float(col[bad[0]])} "
-                         "is not a non-negative integer")
+        i = bad[0]
+        what = ("non-finite feature" if bad_feature[i]
+                else f"label {float(col[i])} is not a non-negative integer")
+        raise ValueError(f"{path}: data row {i + 1}: {what}")
     labels = col.astype(np.int64)
     if len(np.unique(labels)) < 2:
         raise ValueError(f"{path}: labels hold fewer than two classes")

@@ -198,26 +198,20 @@ def client_local_train(
     n = [sizes[k] for k in order]
     stack = np.repeat(np.asarray(w_init, dtype=np.float64)[None], len(n), axis=0)
     # A step trains the clients of one contiguous slice of the stack on
-    # batches of one shape: at each offset the clients with a full batch left
-    # (a prefix of this order), and after those each run of clients with equal
-    # row counts on its last, partial batch. A client's own steps stay in order.
+    # batches of one shape: at each offset, the clients with rows left are a
+    # prefix of this order, and clients with equal batch rows there are
+    # adjacent in it. A client's own steps stay in order.
     models: dict[tuple[int, int], Mlp] = {}
     steps = []  # (model, its rows of the stack, batch offset, batch rows), the same every epoch
-
-    def add_step(a: int, b: int, i: int, m: int) -> None:
-        rows = a if b - a == 1 else slice(a, b)  # a step of one client drops the client axis
-        if (a, b) not in models:
-            models[a, b] = Mlp(arch, stack[rows])
-        steps.append((models[a, b], rows, i, m))
-
-    for i in range(0, n[0] - batch_size + 1, batch_size):
-        add_step(0, sum(v >= i + batch_size for v in n), i, batch_size)
-    a = 0
-    for v, run in itertools.groupby(n):
-        b = a + len(list(run))
-        if v % batch_size:
-            add_step(a, b, v - v % batch_size, v % batch_size)
-        a = b
+    for i in range(0, n[0], batch_size):
+        a = 0
+        for m, run in itertools.groupby(min(batch_size, v - i) for v in n if v > i):
+            b = a + len(list(run))
+            rows = a if b - a == 1 else slice(a, b)  # a step of one client drops the client axis
+            if (a, b) not in models:
+                models[a, b] = Mlp(arch, stack[rows])
+            steps.append((models[a, b], rows, i, m))
+            a = b
     # Row c holds client order[c]'s permuted rows of x; only its first n[c] are read.
     perm = np.zeros((len(n), n[0]), dtype=np.intp)
     for _ in range(epochs):
@@ -233,15 +227,6 @@ def client_local_train(
                 grads += prox_mu * (model.params - w_global)
             model.params[...] = sgd_step(model.params, grads, lr)
     return [stack[c].copy() for c in np.argsort(order)]
-
-
-def _local_train(cfg: ExperimentConfig, arch: list[int], w_global: np.ndarray, x: np.ndarray,
-                 y: np.ndarray, t: int, clients: list[int], sizes: list[int]) -> list[np.ndarray]:
-    """Round t's local training of `clients` (rows back to back in x, y) from the global model."""
-    rngs = [np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, k)) for k in clients]
-    prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
-    return client_local_train(arch, w_global, x, y, cfg.local_epochs, cfg.batch_size, cfg.lr,
-                              rngs, sizes, prox, w_global)
 
 
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -306,6 +291,7 @@ class _OptimizedClient:
         self.history = LossHistory()
         self.states: list[np.ndarray] = []  # the state of each round in history.rounds
         self.pending: tuple[np.ndarray, np.ndarray, float] | None = None
+        self.picked: tuple | None = None  # round's (t, state, l_agg, fractions, rows) for end_round
 
     def _complete_pending(self, next_state: np.ndarray, terminal: bool = False) -> None:
         if self.pending is None:
@@ -330,15 +316,10 @@ class _OptimizedClient:
         i = bisect.bisect_right(self.history.rounds, max(0, t - self.cfg.agent.eta))
         return agent_mod.weighted_metric_action(raw, state, self.states[i - 1] if i else state)
 
-    def round(self, w_global: np.ndarray, t: int):
-        """Full optimized-client round; returns (params, record fragment).
-
-        From round reward.tau on, the reward's reference loss is the fit's
-        estimate for round t if the fit is valid and the estimate exceeds
-        FIT_FLOOR * l_local; otherwise it is the measured l_local.
-        """
-        cfg, arch, part = self.cfg, self.arch, self.part
-        state, l_agg = compute_state(w_global, arch, self.xt, self.yt)
+    def round(self, w_global: np.ndarray, t: int) -> np.ndarray:
+        """Pick round t's per-class fractions; returns the training rows they select."""
+        cfg, part = self.cfg, self.part
+        state, l_agg = compute_state(w_global, self.arch, self.xt, self.yt)
         self._complete_pending(state)
 
         if cfg.action_strategy == "full":
@@ -348,14 +329,22 @@ class _OptimizedClient:
             explore = self._explore_action(raw, state, t)
             eps = cfg.agent.epsilon_at(t, cfg.rounds)
             fractions = agent_mod.epsilon_greedy_select(explore, raw, eps, self.rng)
-        where = f"round {t}: client {part.client_id}"
-        _require_finite(where, fractions=fractions)
+        _require_finite(f"round {t}: client {part.client_id}", fractions=fractions)
 
         sel = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed_data, 41, t))
-        (w_new,) = _local_train(cfg, arch, w_global, self.x[sel], self.y[sel], t,
-                                [part.client_id], [len(sel)])
-        _require_finite(where, parameters=w_new)
-        l_local = dataset_loss(arch, w_new, self.xt, self.yt)
+        self.picked = (t, state, l_agg, fractions, len(sel))
+        return sel
+
+    def end_round(self, w_new: np.ndarray) -> dict:
+        """Score the round begun by `round` from its trained params; returns the record fragment.
+
+        From round reward.tau on, the reward's reference loss is the fit's
+        estimate for round t if the fit is valid and the estimate exceeds
+        FIT_FLOOR * l_local; otherwise it is the measured l_local.
+        """
+        cfg, part = self.cfg, self.part
+        t, state, l_agg, fractions, n_used = self.picked
+        l_local = dataset_loss(self.arch, w_new, self.xt, self.yt)
 
         l_est = None
         l_ref = max(l_local, 1e-12)
@@ -368,23 +357,23 @@ class _OptimizedClient:
                     l_ref = est
         mu_a = float(np.mean(fractions))
         r = compute_reward(l_agg, l_ref, mu_a, cfg.reward)
-        _require_finite(where, l_agg=l_agg, l_local=l_local, l_ref=l_ref, reward=r)
+        _require_finite(f"round {t}: client {part.client_id}", l_agg=l_agg, l_local=l_local,
+                        l_ref=l_ref, reward=r)
         self.history.append(t, l_local)
         self.states.append(state)
         self.pending = (state, fractions, r)
 
-        fragment = {
+        return {
             "client": int(part.client_id),
             "state": state.tolist(),
             "fractions": fractions.tolist(),
-            "samples_used": int(len(sel)),
+            "samples_used": n_used,
             "train_size": int(part.train_size),
             "reward": r,
             "l_agg": l_agg,
             "l_local": l_local,
             "l_est": l_est,
         }
-        return w_new, fragment
 
     def finish(self, w_global: np.ndarray) -> tuple[np.ndarray, list[dict]]:
         """Push the terminal transition; returns post_fl_finetune's (params, trace)."""
@@ -398,7 +387,12 @@ class _OptimizedClient:
 
 
 def run_federated(cfg: ExperimentConfig) -> RunResult:
-    """Execute the full FL simulation plus post-FL fine-tuning."""
+    """Execute the full FL simulation plus post-FL fine-tuning.
+
+    Each round stops a diverged run at the first of these checks to fail: the
+    optimized client's fractions, before training; every sampled client's
+    parameters, in sampled order; the optimized client's losses and reward.
+    """
     cfg.validate()
     if cfg.dataset_csv:
         ds = data_mod.load_csv(cfg.dataset_csv)
@@ -436,33 +430,31 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     records: list[RoundRecord] = []
     client_params: dict[int, np.ndarray] = {}
 
+    prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
     for t in range(cfg.rounds):
         sampled = sample_clients(cfg.n_clients, cfg.c_ratio, rng_sampling)
-        # Every sampled naive client with training rows trains in one lockstep call.
-        naive = [k for k in sampled
-                 if len(train_rows[k]) and (opt is None or k != cfg.optimized_client)]
-        trained = {}
-        if naive:
-            rows = np.concatenate([train_rows[k] for k in naive])
-            trained = dict(zip(naive, _local_train(
-                cfg, arch, server.global_params, x[rows], y[rows], t, naive,
-                [len(train_rows[k]) for k in naive])))
-        updates = []
-        opt_fragment = None
-        for k in sampled:
-            if k in trained:  # checked in sampled order: a divergence names the first client
-                w_k, n_used = trained[k], len(train_rows[k])
-                _require_finite(f"round {t}: client {k}", parameters=w_k)
-            elif opt is not None and k == cfg.optimized_client:
-                w_k, opt_fragment = opt.round(server.global_params, t)
-                n_used = opt_fragment["samples_used"]
-            else:
-                continue
-            client_params[k] = w_k
-            updates.append(ClientUpdate(k, w_k, n_used))
-        if not updates:
+        # Every sampled client with training rows trains in one lockstep call, in
+        # sampled order: a naive client on all its rows, the optimized client on
+        # the rows its action selected.
+        rows = {k: train_rows[k] for k in sampled if len(train_rows[k])}
+        if not rows:
             names = ", ".join(f"client {k}" for k in sampled)
             raise ValueError(f"round {t}: no sampled client has training rows ({names})")
+        opt_sampled = opt is not None and cfg.optimized_client in rows
+        if opt_sampled:
+            rows[cfg.optimized_client] = opt.round(server.global_params, t)
+        gathered = np.concatenate(list(rows.values()))
+        rngs = [np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, k)) for k in rows]
+        trained = client_local_train(
+            arch, server.global_params, x[gathered], y[gathered], cfg.local_epochs,
+            cfg.batch_size, cfg.lr, rngs, [len(r) for r in rows.values()], prox,
+            server.global_params)
+        updates = []
+        for (k, rows_k), w_k in zip(rows.items(), trained):
+            _require_finite(f"round {t}: client {k}", parameters=w_k)
+            client_params[k] = w_k
+            updates.append(ClientUpdate(k, w_k, len(rows_k)))
+        opt_fragment = opt.end_round(client_params[cfg.optimized_client]) if opt_sampled else None
         aggregate(
             cfg.aggregation, updates, server,
             beta=cfg.fedavgm_beta, server_lr=cfg.fedavgm_server_lr, cda_depth=cfg.cda_depth,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,29 @@ class TestCmdRun:
         assert re.search(r"runtime: round \d+: client \d+: non-finite", caplog.text)
         assert not (out / "rounds.jsonl").exists()
         assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("bad,message", [
+        ("nan", "data row 5: non-finite feature"),
+        ("inf", "data row 5: non-finite feature"),
+        (None, "no feature column, only a label per row"),
+    ], ids=["nan", "inf", "labels_only"])
+    def test_csv_with_bad_feature_column_exits_3_naming_the_file(self, tmp_path, caplog, bad,
+                                                                 message):
+        rows = [f"{i % 3}.5,{i}.0,{i % 2}" for i in range(40)]
+        if bad is None:
+            rows = [row.rsplit(",", 1)[1] for row in rows]
+        else:
+            rows[4] = f"{bad},4.0,0"
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"dataset_csv = {data}\nn_clients = 2\nrounds = 2\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"runtime: {data}: {message}" in caplog.text
+        assert not out.exists()
 
     def test_decaying_reward_fit_falls_back_and_stays_finite(self, tmp_path):
         # At this seed the reference fit decays toward 0. Used as the reward's

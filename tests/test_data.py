@@ -169,6 +169,14 @@ def test_load_csv(tmp_path):
     ("", r"no data rows"),
     ("1.0,2.0,0\n3.0,4.0,0\n", r"fewer than two classes"),
     ("1.0,2.0,1\n3.0,4.0,1\n", r"fewer than two classes"),
+    # These used to load: a non-finite feature diverged in round 0 (with a
+    # matmul RuntimeWarning for inf), and labels alone gave "bad layer_dims".
+    ("1.0,2.0,0\n3.0,nan,1\n", r"data row 2: non-finite feature"),
+    ("1.0,2.0,0\n3.0,4.0,1\n-inf,4.0,1\n", r"data row 3: non-finite feature"),
+    ("inf,2.0,0\n3.0,4.0,1\n", r"data row 1: non-finite feature"),
+    ("1.0,nan,0\n3.0,4.0,-1\n", r"data row 1: non-finite feature"),
+    ("1.0,2.0,-1\n3.0,nan,1\n", r"data row 1: label -1.0 "),  # the first bad row of either kind
+    ("0\n1\n1\n", r"no feature column"),
 ])
 def test_load_csv_rejects_bad_labels_and_empty_files(tmp_path, text, match):
     path = tmp_path / "bad.csv"

@@ -270,12 +270,16 @@ class TestOptimizedClient:
 
     def test_finish_pushes_terminal_transition_and_fine_tunes_on_all_rows(self):
         opt = self._client(lr=0.5, batch_size=4)
-        w, _ = opt.round(Mlp.init_glorot(self.ARCH, np.random.default_rng(1)).params, 0)
+        cfg = opt.cfg
+        w_global = Mlp.init_glorot(self.ARCH, np.random.default_rng(1)).params
+        sel = opt.round(w_global, 0)
+        (w,) = client_local_train(self.ARCH, w_global, opt.x[sel], opt.y[sel], 1, cfg.batch_size,
+                                  cfg.lr, [np.random.default_rng(0)], [len(sel)])
+        opt.end_round(w)
         assert len(opt.buffer) == 0 and opt.pending is not None
         best, trace = opt.finish(w)
         assert len(opt.buffer) == 1 and opt.pending is None
         assert opt.buffer.sample_slices(1, 1, 0.9)[4][0] == 1.0  # terminal
-        cfg = opt.cfg
         want = post_fl_finetune(self.ARCH, w, opt.x[:12], opt.y[:12], opt.x[12:], opt.y[12:],
                                 cfg.batch_size, cfg.lr, cfg.finetune_patience,
                                 cfg.finetune_max_epochs,
@@ -381,8 +385,8 @@ class TestRunFederated:
         monkeypatch.setattr(orchestrator, "client_local_train", counting)
         cfg = small_cfg(n_clients=5, rounds=3, finetune_max_epochs=2, finetune_patience=5)
         res = run_federated(cfg)
-        # per round: the 4 naive clients at once, then the optimized client; then 2 fine-tune epochs
-        assert calls == [4, 1] * 3 + [1, 1]
+        # per round: all 5 clients, the optimized one included, at once; then 2 fine-tune epochs
+        assert calls == [5] * 3 + [1, 1]
         assert len(res.finetune_trace) == 2
 
     def test_non_finite_client_in_a_stacked_round_exits_3_naming_the_first(
@@ -394,11 +398,11 @@ class TestRunFederated:
         outputs = []
 
         def poisoned(arch, w_init, x, y, epochs, batch_size, lr, rngs, sizes, *rest):
-            # In the naive clients' call, NaN features for its 2nd and 4th client.
+            # In the round's call, NaN features for its 3rd and 5th client.
             if len(sizes) > 1:
                 x = x.copy()
                 starts = np.cumsum([0, *sizes])
-                for c in (1, 3):
+                for c in (2, 4):
                     x[starts[c] : starts[c + 1]] = np.nan
             out = client_local_train(arch, w_init, x, y, epochs, batch_size, lr, rngs, sizes,
                                      *rest)
@@ -406,16 +410,87 @@ class TestRunFederated:
             return out
 
         monkeypatch.setattr(orchestrator, "client_local_train", poisoned)
+        # Every client's parameters are checked before the optimized client's reward.
+        monkeypatch.setattr(orchestrator, "compute_reward", lambda *args: math.nan)
         cfg = tmp_path / "six.cfg"
         cfg.write_text("n_clients = 6\nrounds = 2\nn_per_class = 60\n")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-        # Client 0 is optimized, so the call trains clients 1-5 and clients 2 and 4 diverge.
+        # The call trains clients 0-5, optimized client 0 first; clients 2 and 4 diverge.
         assert "runtime: round 0: client 2: non-finite parameters (diverged)" in caplog.text
-        # The naive call came first; the optimized client's call then trained cleanly.
-        assert [np.isfinite(w).all() for w in outputs[0]] == [True, False, True, False, True]
-        assert len(outputs) == 2 and np.isfinite(outputs[1][0]).all()
+        assert len(outputs) == 1
+        assert [np.isfinite(w).all() for w in outputs[0]] == [True, True, False, True, False, True]
         assert not out.exists()
+
+    def test_non_finite_optimized_client_exits_3_naming_it(self, monkeypatch, tmp_path, caplog):
+        from fedopt import orchestrator
+        from fedopt.cli import main
+
+        def poisoned(arch, w_init, x, y, epochs, batch_size, lr, rngs, sizes, *rest):
+            # NaN features for the optimized client, 4th of the round's sampled clients.
+            if len(sizes) > 1:
+                x = x.copy()
+                x[sum(sizes[:3]) : sum(sizes[:4])] = np.nan
+            return client_local_train(arch, w_init, x, y, epochs, batch_size, lr, rngs, sizes,
+                                      *rest)
+
+        monkeypatch.setattr(orchestrator, "client_local_train", poisoned)
+        monkeypatch.setattr(orchestrator._OptimizedClient, "end_round", None)  # never reached
+        cfg = tmp_path / "six.cfg"
+        cfg.write_text("n_clients = 6\noptimized_client = 3\nrounds = 2\nn_per_class = 60\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "runtime: round 0: client 3: non-finite parameters (diverged)" in caplog.text
+        assert not out.exists()
+
+    def test_optimized_client_trains_in_the_round_call_on_its_selection(self, monkeypatch):
+        from fedopt import data, orchestrator
+
+        cfg = small_cfg(n_clients=4, c_ratio=0.75, rounds=8, aggregation="fedprox",
+                        local_epochs=2, batch_size=5)
+        log = []  # one dict a round: sampled clients, the selection, the training call
+        partition = data.action_partition
+
+        def sampling(*args):
+            log.append({"sampled": sample_clients(*args)})
+            return log[-1]["sampled"]
+
+        def selecting(*args):
+            log[-1]["sel"] = partition(*args)
+            return log[-1]["sel"]
+
+        def training(*args):
+            out = client_local_train(*args)
+            if log and "call" not in log[-1]:  # the round's call, not a fine-tune epoch
+                log[-1]["call"] = (args[1].copy(), args[8], args[2], out)
+            return out
+
+        monkeypatch.setattr(orchestrator, "sample_clients", sampling)
+        monkeypatch.setattr(data, "action_partition", selecting)
+        monkeypatch.setattr(orchestrator, "client_local_train", training)
+        run_federated(cfg)
+        ds = generate_synthetic(cfg.n_classes, cfg.n_per_class, cfg.feature_dim, cfg.spread,
+                                cfg.seed_data)
+        arch = [cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes]
+        trained_opt = 0
+        for t, rec in enumerate(log):
+            w_global, sizes, x, out = rec["call"]
+            assert len(sizes) == len(rec["sampled"])  # every client has training rows
+            if 0 not in rec["sampled"]:
+                assert "sel" not in rec
+                continue
+            sel, c = rec["sel"], rec["sampled"].index(0)
+            assert sizes[c] == len(sel)
+            np.testing.assert_array_equal(x[sum(sizes[:c]) : sum(sizes[: c + 1])],
+                                          ds.features[sel])
+            (want,) = client_local_train(
+                arch, w_global, ds.features[sel], ds.labels[sel], cfg.local_epochs,
+                cfg.batch_size, cfg.lr,
+                [np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, 0))], [len(sel)],
+                cfg.prox_mu, w_global)
+            assert np.array_equal(out[c], want)
+            trained_opt += 1
+        assert len(log) == cfg.rounds and 0 < trained_opt < cfg.rounds
 
     def test_l_agg_matches_independent_recomputation(self):
         cfg = small_cfg()
