@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Mlp, backward, forward, sgd_step
+from .nn import Mlp, backward, forward, input_grad, sgd_step
 
 ACTION_STRATEGIES = ("normalized", "weighted_metric", "full")
 
@@ -207,7 +207,7 @@ def critic_update(ac: ActorCritic, batch: tuple) -> float:
     err = q - target
     loss = float(np.mean(err**2))
     d_out = (2.0 * err / len(err))[:, None]
-    grads, _ = backward(ac.critic, cache, d_out)
+    grads = backward(ac.critic, cache, d_out)
     ac.critic.params[...] = sgd_step(ac.critic.params, grads, ac.cfg.critic_lr)
     return loss
 
@@ -228,10 +228,10 @@ def actor_update(ac: ActorCritic, states: np.ndarray) -> float:
     q = forward(ac.critic, np.hstack([states, acts]), critic_cache)[:, 0]
     objective = float(np.mean(q))
     d_q = np.full((len(states), 1), 1.0 / len(states))
-    _, d_in = backward(ac.critic, critic_cache, d_q)
+    d_in = input_grad(ac.critic, critic_cache, d_q)
     d_action = d_in[:, ac.n_classes :]
     d_raw = d_action * (ac.cfg.b_u - ac.cfg.b_l) * sig * (1.0 - sig)
-    grads, _ = backward(ac.actor, actor_cache, d_raw)
+    grads = backward(ac.actor, actor_cache, d_raw)
     # gradient ascent on the objective
     ac.actor.params[...] = sgd_step(ac.actor.params, grads, -ac.cfg.actor_lr)
     return objective

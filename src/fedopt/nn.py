@@ -79,11 +79,8 @@ def forward(model: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     return h
 
 
-def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. logits.
-
-    For (G, n, c) logits the loss is an array of G per-model means.
-    """
+def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    """Mean softmax cross-entropy; for (G, n, c) logits, G per-model means."""
     logits = np.atleast_2d(logits)
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape[-2:]
@@ -96,31 +93,60 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
     # Row r of the (rows, c) view picks class labels[r].
     picked = np.arange(labels.size), labels.ravel()
     loss = -log_probs.reshape(-1, c)[picked].reshape(labels.shape).mean(axis=-1)
-    d = np.exp(log_probs)
-    d.reshape(-1, c)[picked] -= 1.0
-    return (float(loss) if loss.ndim == 0 else loss), d / n
+    return float(loss) if loss.ndim == 0 else loss
 
 
-def backward(model: Mlp, cache: dict, d_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop `d_logits` through the cached forward pass.
+def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean softmax cross-entropy w.r.t. logits.
 
-    Returns (flat gradients in the canonical layout, gradient w.r.t. inputs).
+    Labels are not range-checked: the training data was checked at load time.
     """
+    labels = np.asarray(labels, dtype=np.int64)
+    n, c = logits.shape[-2:]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))  # log-probabilities
+    d = np.exp(z, out=z)
+    d.reshape(-1, c)[np.arange(labels.size), labels.ravel()] -= 1.0
+    d /= n
+    return d
+
+
+def _cached_acts(model: Mlp, cache: dict) -> list[np.ndarray]:
     if "acts" not in cache:
         raise ValueError("missing forward cache")
-    acts = cache["acts"]
-    if len(acts) != len(model.weights) + 1:
+    if len(cache["acts"]) != len(model.weights) + 1:
         raise ValueError("stale forward cache")
+    return cache["acts"]
+
+
+def backward(model: Mlp, cache: dict, d_logits: np.ndarray) -> np.ndarray:
+    """Backprop `d_logits` through the cached forward pass.
+
+    Returns the flat parameter gradients in the canonical layout; the
+    gradient w.r.t. the inputs is `input_grad`'s.
+    """
+    acts = _cached_acts(model, cache)
     grads = [None] * (2 * len(model.weights))  # w0, b0, w1, b1, ...: the canonical layout
     delta = np.atleast_2d(d_logits)
     lead = delta.shape[:-2]
     for i in reversed(range(len(model.weights))):
         grads[2 * i] = (acts[i].swapaxes(-1, -2) @ delta).reshape(*lead, -1)
         grads[2 * i + 1] = delta.sum(axis=-2)
+        if i > 0:
+            delta = delta @ model.weights[i].swapaxes(-1, -2)
+            delta *= acts[i] > 0.0
+    return np.concatenate(grads, axis=-1)
+
+
+def input_grad(model: Mlp, cache: dict, d_logits: np.ndarray) -> np.ndarray:
+    """Backprop `d_logits` to the inputs of the cached forward pass."""
+    acts = _cached_acts(model, cache)
+    delta = np.atleast_2d(d_logits)
+    for i in reversed(range(len(model.weights))):
         delta = delta @ model.weights[i].swapaxes(-1, -2)
         if i > 0:
-            delta = delta * (acts[i] > 0.0)
-    return np.concatenate(grads, axis=-1), delta
+            delta *= acts[i] > 0.0
+    return delta
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:

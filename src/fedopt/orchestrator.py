@@ -21,7 +21,7 @@ from . import data as data_mod
 from .aggregation import ClientUpdate, ServerState, STRATEGIES, aggregate
 from .agent import ACTION_STRATEGIES, ActorCritic, AgentConfig, ReplayBuffer
 from .metrics import accuracy, class_prf1, compute_state, evaluate
-from .nn import Mlp, backward, cross_entropy_loss, forward, sgd_step
+from .nn import Mlp, backward, cross_entropy_grad, cross_entropy_loss, forward, sgd_step
 from .reward import LossHistory, RewardConfig, compute_reward, estimate_loss, fit_exponential
 
 # A fitted reference loss at or below this share of the measured local loss
@@ -221,8 +221,7 @@ def client_local_train(
             batch = perm[rows, i : i + m]
             cache: dict = {}
             logits = forward(model, x[batch], cache)
-            _, d_logits = cross_entropy_loss(logits, y[batch])
-            grads, _ = backward(model, cache, d_logits)
+            grads = backward(model, cache, cross_entropy_grad(logits, y[batch]))
             if prox_mu > 0.0 and w_global is not None:
                 grads += prox_mu * (model.params - w_global)
             model.params[...] = sgd_step(model.params, grads, lr)
@@ -230,8 +229,7 @@ def client_local_train(
 
 
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    loss, _ = cross_entropy_loss(forward(Mlp(arch, params), x), y)
-    return loss
+    return cross_entropy_loss(forward(Mlp(arch, params), x), y)
 
 
 def post_fl_finetune(
@@ -463,16 +461,11 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
 
         cms = evaluate(Mlp(arch, server.global_params), x, val_y, val_rows, val_slots,
                        len(val_parts))
-        p, r, f1 = (m.mean(axis=-1) for m in class_prf1(cms))
+        p, r, f1 = (m.mean(axis=-1).tolist() for m in class_prf1(cms))
         client_metrics = [
-            {
-                "client": part.client_id,
-                "accuracy": float(acc_g),
-                "precision": float(p_g),
-                "recall": float(r_g),
-                "f1": float(f1_g),
-            }
-            for part, acc_g, p_g, r_g, f1_g in zip(val_parts, accuracy(cms), p, r, f1)
+            {"client": part.client_id, "accuracy": acc_g, "precision": p_g, "recall": r_g,
+             "f1": f1_g}
+            for part, acc_g, p_g, r_g, f1_g in zip(val_parts, accuracy(cms).tolist(), p, r, f1)
         ]
         records.append(RoundRecord(t, sampled, client_metrics, opt_fragment, cfg.aggregation))
 

@@ -66,28 +66,28 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
         sign = 1.0
     else:
         return ExpFit(fit_valid=False)
-    logy = np.log(np.abs(y))
-    design = np.column_stack([np.ones_like(t), -t])
-    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
-    u = sign * np.exp(coef[0])
-    v = coef[1]
-    for _ in range(max_iter):
-        # An iterate that overflows cannot recover: stop before lstsq sees it.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # An iterate that overflows cannot recover: the finiteness checks stop
+    # the fit before lstsq sees it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logy = np.log(np.abs(y))
+        design = np.column_stack([np.ones_like(t), -t])
+        coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
+        u = sign * np.exp(coef[0])
+        v = coef[1]
+        for _ in range(max_iter):
             e = np.exp(-v * t)
             r = -u * e - y
             jac = np.column_stack([-e, u * t * e])
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
-            return ExpFit(fit_valid=False)
-        try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            return ExpFit(fit_valid=False)
-        u += step[0]
-        v += step[1]
-        if np.max(np.abs(step)) < 1e-12:
-            break
-    with np.errstate(over="ignore", invalid="ignore"):
+            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+                return ExpFit(fit_valid=False)
+            try:
+                step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            except np.linalg.LinAlgError:
+                return ExpFit(fit_valid=False)
+            u += step[0]
+            v += step[1]
+            if np.max(np.abs(step)) < 1e-12:
+                break
         residual = float(np.linalg.norm(-u * np.exp(-v * t) - y))
     if not np.isfinite(residual):
         return ExpFit(fit_valid=False)

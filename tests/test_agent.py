@@ -18,8 +18,9 @@ from fedopt.agent import (
     weighted_metric_action,
 )
 from fedopt.data import ClientPartition
-from fedopt.nn import Mlp, backward, forward, sgd_step
+from fedopt.nn import Mlp, forward, sgd_step
 from fedopt.orchestrator import ExperimentConfig, _OptimizedClient
+from tests.test_nn import reference_backward
 
 
 def make_ac(n_classes=3, seed=0, **overrides):
@@ -491,16 +492,17 @@ class _CopyingReference:
         target = returns + (cfg.gamma**steps) * (1.0 - terminal) * q_next
         cache = {}
         err = forward(ac.critic, np.hstack([states, actions]), cache)[:, 0] - target
-        grads, _ = backward(ac.critic, cache, (2.0 * err / len(err))[:, None])
+        grads, _ = reference_backward(ac.critic, cache, (2.0 * err / len(err))[:, None])
         ac.critic = Mlp(ac.critic.layer_dims, sgd_step(ac.critic.params, grads, cfg.critic_lr))
 
         actor_cache, critic_cache = {}, {}
         sig = 0.5 * (1.0 + np.tanh(0.5 * forward(ac.actor, states, actor_cache)))
         acts = cfg.b_l + (cfg.b_u - cfg.b_l) * sig
         forward(ac.critic, np.hstack([states, acts]), critic_cache)
-        _, d_in = backward(ac.critic, critic_cache, np.full((len(states), 1), 1.0 / len(states)))
+        _, d_in = reference_backward(ac.critic, critic_cache,
+                                     np.full((len(states), 1), 1.0 / len(states)))
         d_raw = d_in[:, ac.n_classes:] * (cfg.b_u - cfg.b_l) * sig * (1.0 - sig)
-        grads, _ = backward(ac.actor, actor_cache, d_raw)
+        grads, _ = reference_backward(ac.actor, actor_cache, d_raw)
         ac.actor = Mlp(ac.actor.layer_dims, sgd_step(ac.actor.params, grads, -cfg.actor_lr))
 
         tau = cfg.soft_update_tau

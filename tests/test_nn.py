@@ -4,7 +4,62 @@ import pickle
 import numpy as np
 import pytest
 
-from fedopt.nn import Mlp, backward, cross_entropy_loss, forward, sgd_step
+from fedopt.nn import (
+    Mlp,
+    backward,
+    cross_entropy_grad,
+    cross_entropy_loss,
+    forward,
+    input_grad,
+    sgd_step,
+)
+
+
+# The reference loss-and-gradient and backprop below keep the combined form
+# the lean training step replaced; tests compare the lean functions with them
+# bit for bit.
+def reference_cross_entropy(logits, labels):
+    """Mean softmax cross-entropy and its gradient w.r.t. logits.
+
+    For (G, n, c) logits the loss is an array of G per-model means.
+    """
+    logits = np.atleast_2d(logits)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, c = logits.shape[-2:]
+    if n == 0:
+        raise ValueError("empty batch")
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"label out of range [0, {c})")
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    # Row r of the (rows, c) view picks class labels[r].
+    picked = np.arange(labels.size), labels.ravel()
+    loss = -log_probs.reshape(-1, c)[picked].reshape(labels.shape).mean(axis=-1)
+    d = np.exp(log_probs)
+    d.reshape(-1, c)[picked] -= 1.0
+    return (float(loss) if loss.ndim == 0 else loss), d / n
+
+
+def reference_backward(model, cache, d_logits):
+    """Backprop `d_logits` through the cached forward pass.
+
+    Returns (flat gradients in the canonical layout, gradient w.r.t. inputs).
+    """
+    if "acts" not in cache:
+        raise ValueError("missing forward cache")
+    acts = cache["acts"]
+    if len(acts) != len(model.weights) + 1:
+        raise ValueError("stale forward cache")
+    grads = [None] * (2 * len(model.weights))  # w0, b0, w1, b1, ...: the canonical layout
+    delta = np.atleast_2d(d_logits)
+    lead = delta.shape[:-2]
+    for i in reversed(range(len(model.weights))):
+        grads[2 * i] = (acts[i].swapaxes(-1, -2) @ delta).reshape(*lead, -1)
+        grads[2 * i + 1] = delta.sum(axis=-2)
+        delta = delta @ model.weights[i].swapaxes(-1, -2)
+        if i > 0:
+            delta = delta * (acts[i] > 0.0)
+    return np.concatenate(grads, axis=-1), delta
 
 
 def numeric_param_grad(model, x, y, h=1e-5):
@@ -15,8 +70,7 @@ def numeric_param_grad(model, x, y, h=1e-5):
         for sign in (1.0, -1.0):
             model.params[...] = base
             model.params[i] += sign * h
-            loss, _ = cross_entropy_loss(forward(model, x), y)
-            grad[i] += sign * loss
+            grad[i] += sign * cross_entropy_loss(forward(model, x), y)
     model.params[...] = base
     return grad / (2 * h)
 
@@ -24,8 +78,8 @@ def numeric_param_grad(model, x, y, h=1e-5):
 def analytic_param_grad(model, x, y):
     cache = {}
     logits = forward(model, x, cache)
-    _, d_logits = cross_entropy_loss(logits, y)
-    grads, _ = backward(model, cache, d_logits)
+    _, d_logits = reference_cross_entropy(logits, y)
+    grads, _ = reference_backward(model, cache, d_logits)
     return grads
 
 
@@ -164,18 +218,17 @@ class TestLayout:
 
 class TestCrossEntropy:
     def test_uniform_softmax(self):
-        loss, _ = cross_entropy_loss(np.zeros((2, 4)), np.array([0, 3]))
-        assert loss == pytest.approx(np.log(4))
+        assert cross_entropy_loss(np.zeros((2, 4)), np.array([0, 3])) == pytest.approx(np.log(4))
 
     def test_saturated_no_overflow(self):
-        loss, _ = cross_entropy_loss(np.array([[1000.0, -1000.0]]), np.array([0]))
+        loss = cross_entropy_loss(np.array([[1000.0, -1000.0]]), np.array([0]))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_dlogits_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 3))
         labels = rng.integers(0, 3, size=6)
-        _, d = cross_entropy_loss(logits, labels)
+        d = cross_entropy_grad(logits, labels)
         h = 1e-6
         num = np.zeros_like(logits)
         for i in range(logits.shape[0]):
@@ -183,7 +236,7 @@ class TestCrossEntropy:
                 lp, lm = logits.copy(), logits.copy()
                 lp[i, j] += h
                 lm[i, j] -= h
-                num[i, j] = (cross_entropy_loss(lp, labels)[0] - cross_entropy_loss(lm, labels)[0]) / (2 * h)
+                num[i, j] = (cross_entropy_loss(lp, labels) - cross_entropy_loss(lm, labels)) / (2 * h)
         assert max_rel_err(d, num) < 1e-4
 
     def test_softmax_rows_sum_to_one(self):
@@ -191,14 +244,14 @@ class TestCrossEntropy:
         rng = np.random.default_rng(2)
         logits = rng.normal(scale=10, size=(20, 5))
         labels = rng.integers(0, 5, 20)
-        _, d = cross_entropy_loss(logits, labels)
+        d = cross_entropy_grad(logits, labels)
         probs = d * 20 + np.eye(5)[labels]
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((probs >= 0.0) & (probs <= 1.0 + 1e-12))
 
     def test_gradient_of_uniform_logits_is_one_over_c(self):
         labels = np.array([0, 3, 1])
-        _, d = cross_entropy_loss(np.full((3, 4), 2.5), labels)
+        d = cross_entropy_grad(np.full((3, 4), 2.5), labels)
         np.testing.assert_allclose(d * 3 + np.eye(4)[labels], 0.25, atol=1e-15)
 
     def test_empty_batch(self):
@@ -209,6 +262,26 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy_loss(np.zeros((1, 3)), np.array([3]))
 
+    @pytest.mark.parametrize("logits,labels", [
+        (np.zeros((2, 3)), np.array([0, -1])),
+        (np.zeros((2, 2, 3)), np.array([[0, 1], [2, 3]])),
+    ], ids=["negative", "stacked"])
+    def test_label_out_of_range_below_zero_and_stacked(self, logits, labels):
+        with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
+            cross_entropy_loss(logits, labels)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 3), (32, 4), (1, 5, 3), (4, 9, 2), (7, 32, 4)])
+    def test_loss_and_grad_equal_the_combined_reference_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        logits = rng.normal(scale=3.0, size=shape)
+        labels = rng.integers(0, shape[-1], size=shape[:-1])
+        ref_loss, ref_d = reference_cross_entropy(logits, labels)
+        before = logits.copy()
+        d = cross_entropy_grad(logits, labels)
+        assert d.shape == logits.shape and np.array_equal(d, ref_d)
+        assert np.array_equal(cross_entropy_loss(logits, labels), ref_loss)
+        assert np.array_equal(logits, before)
+
 
 class TestBackward:
     def test_zero_upstream(self):
@@ -216,7 +289,7 @@ class TestBackward:
         m = Mlp.init_glorot([3, 4, 2], rng)
         cache = {}
         forward(m, rng.normal(size=(5, 3)), cache)
-        grads, _ = backward(m, cache, np.zeros((5, 2)))
+        grads = backward(m, cache, np.zeros((5, 2)))
         assert np.all(grads == 0.0)
 
     @pytest.mark.parametrize("dims", [[2, 3, 2], [4, 8, 4], [5, 5]])
@@ -240,6 +313,28 @@ class TestBackward:
     def test_missing_cache(self):
         with pytest.raises(ValueError):
             backward(Mlp([2, 2]), {}, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("fn", [backward, input_grad])
+    def test_missing_or_stale_cache_names_it(self, fn):
+        with pytest.raises(ValueError, match="missing forward cache"):
+            fn(Mlp([2, 2]), {}, np.zeros((1, 2)))
+        cache = {}
+        forward(Mlp([2, 2]), np.zeros((1, 2)), cache)
+        with pytest.raises(ValueError, match="stale forward cache"):
+            fn(Mlp([2, 3, 2]), cache, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("dims", [[3, 1, 2], [4, 8, 4], [2, 3, 4, 2], [5, 3]])
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)])
+    def test_backward_and_input_grad_equal_the_combined_reference_bit_for_bit(self, dims, lead):
+        rng = np.random.default_rng(len(dims) * 10 + len(lead))
+        m = Mlp(dims, np.stack([Mlp.init_glorot(dims, rng).params for _ in range(lead[0])])
+                if lead else Mlp.init_glorot(dims, rng).params)
+        cache = {}
+        forward(m, rng.normal(size=(*lead, 6, dims[0])), cache)
+        upstream = rng.normal(size=(*lead, 6, dims[-1]))
+        ref_grads, ref_d_in = reference_backward(m, cache, upstream)
+        assert np.array_equal(backward(m, cache, upstream), ref_grads)
+        assert np.array_equal(input_grad(m, cache, upstream), ref_d_in)
 
 
 class TestSgdStep:
@@ -292,16 +387,18 @@ class TestClientStack:
         m = Mlp(dims, stack)
         cache = {}
         logits = forward(m, x, cache)
-        loss, d_logits = cross_entropy_loss(logits, y)
-        grads, d_in = backward(m, cache, d_logits)
+        loss = cross_entropy_loss(logits, y)
+        d_logits = cross_entropy_grad(logits, y)
+        grads = backward(m, cache, d_logits)
+        d_in = input_grad(m, cache, d_logits)
         stepped = sgd_step(stack, grads, 0.3)
         assert loss.shape == (groups,) and grads.shape == stack.shape
         for g in range(groups):
             one = Mlp(dims, stack[g].copy())
             c1 = {}
             lg1 = forward(one, x[g], c1)
-            l1, d1 = cross_entropy_loss(lg1, y[g])
-            g1, di1 = backward(one, c1, d1)
+            l1, d1 = cross_entropy_loss(lg1, y[g]), cross_entropy_grad(lg1, y[g])
+            g1, di1 = backward(one, c1, d1), input_grad(one, c1, d1)
             assert np.array_equal(logits[g], lg1)
             assert loss[g] == l1 and np.array_equal(d_logits[g], d1)
             assert np.array_equal(grads[g], g1) and np.array_equal(d_in[g], di1)

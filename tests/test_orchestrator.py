@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from fedopt import orchestrator
 from fedopt.agent import weighted_metric_action
 from fedopt.data import ClientPartition, dirichlet_partition, generate_synthetic, train_val_split
-from fedopt.nn import Mlp, backward, cross_entropy_loss, forward, sgd_step
+from fedopt.nn import Mlp, forward, sgd_step
 from fedopt.orchestrator import (
     ExperimentConfig,
     _OptimizedClient,
@@ -18,6 +19,7 @@ from fedopt.orchestrator import (
     run_federated,
     sample_clients,
 )
+from tests.test_nn import reference_backward, reference_cross_entropy
 
 
 def small_cfg(**overrides):
@@ -56,8 +58,8 @@ class TestClientLocalTrain:
         out = _train_one(arch, w, x, y, 1, len(y), 0.1, np.random.default_rng(0))
         m = Mlp(arch, w)
         cache = {}
-        _, d = cross_entropy_loss(forward(m, x, cache), y)
-        grads, _ = backward(m, cache, d)
+        _, d = reference_cross_entropy(forward(m, x, cache), y)
+        grads, _ = reference_backward(m, cache, d)
         np.testing.assert_allclose(out, sgd_step(w, grads, 0.1), atol=1e-12)
 
     # FedProx: local SGD on cross-entropy + (mu/2)*||w - w_global||^2.
@@ -118,15 +120,16 @@ class TestClientLocalTrain:
 
     @staticmethod
     def _reference(arch, w_init, x, y, epochs, batch_size, lr, rng, prox_mu, w_global):
-        """Serial copying loop for one client: every step builds a new Mlp over a new vector."""
+        """Serial copying loop for one client: every step builds a new Mlp over a new vector
+        and takes the combined loss-and-gradient and the full backprop of tests.test_nn."""
         model = Mlp(list(arch), np.array(w_init, dtype=np.float64))
         for _ in range(epochs):
             order = rng.permutation(len(y))
             for i in range(0, len(y), batch_size):
                 batch = order[i : i + batch_size]
                 cache = {}
-                _, d_logits = cross_entropy_loss(forward(model, x[batch], cache), y[batch])
-                grads, _ = backward(model, cache, d_logits)
+                _, d_logits = reference_cross_entropy(forward(model, x[batch], cache), y[batch])
+                grads, _ = reference_backward(model, cache, d_logits)
                 if prox_mu > 0.0 and w_global is not None:
                     grads = grads + prox_mu * (model.params - w_global)
                 model = Mlp(list(arch), sgd_step(model.params, grads, lr))
@@ -182,6 +185,19 @@ class TestClientLocalTrain:
                                   np.random.default_rng(seeds[k]), prox_mu, w_global)
             assert np.array_equal(out[k], ref), f"client {k}"
         assert np.array_equal(w_init, before)
+
+    def test_training_never_computes_the_loss(self, monkeypatch):
+        def loss(*_):
+            raise AssertionError("a training step computed the mean loss")
+
+        monkeypatch.setattr(orchestrator, "cross_entropy_loss", loss)
+        rng = np.random.default_rng(6)
+        arch = [3, 5, 2]
+        out = client_local_train(arch, Mlp.init_glorot(arch, rng).params, rng.normal(size=(13, 3)),
+                                 rng.integers(0, 2, 13), 2, 4, 0.1,
+                                 [np.random.default_rng(k) for k in range(2)], [9, 4], 0.5,
+                                 np.zeros(Mlp(arch).params.size))
+        assert len(out) == 2
 
     def test_each_client_gets_its_own_array(self):
         rng = np.random.default_rng(4)
