@@ -202,13 +202,13 @@ def critic_update(ac: ActorCritic, batch: tuple) -> float:
     next_a = ac._act(ac.actor_target, boot_states)
     q_next = forward(ac.critic_target, np.hstack([boot_states, next_a]))[:, 0]
     target = returns + (ac.cfg.gamma**steps) * (1.0 - terminal) * q_next
-    cache: dict = {}
-    q = forward(ac.critic, np.hstack([states, actions]), cache)[:, 0]
+    acts: list = []
+    q = forward(ac.critic, np.hstack([states, actions]), acts)[:, 0]
     err = q - target
     loss = float(np.mean(err**2))
     d_out = (2.0 * err / len(err))[:, None]
-    grads = backward(ac.critic, cache, d_out)
-    ac.critic.params[...] = sgd_step(ac.critic.params, grads, ac.cfg.critic_lr)
+    grads = backward(ac.critic, acts, d_out)
+    sgd_step(ac.critic.params, grads, ac.cfg.critic_lr)
     return loss
 
 
@@ -220,20 +220,20 @@ def actor_update(ac: ActorCritic, states: np.ndarray) -> float:
     """One ascent step on mean Q(s, actor(s)) over `states`; critic stays frozen."""
     if len(states) == 0:
         raise ValueError("empty batch")
-    actor_cache: dict = {}
-    raw = forward(ac.actor, states, actor_cache)
+    actor_acts: list = []
+    raw = forward(ac.actor, states, actor_acts)
     sig = _sigmoid(raw)
     acts = ac.cfg.b_l + (ac.cfg.b_u - ac.cfg.b_l) * sig
-    critic_cache: dict = {}
-    q = forward(ac.critic, np.hstack([states, acts]), critic_cache)[:, 0]
+    critic_acts: list = []
+    q = forward(ac.critic, np.hstack([states, acts]), critic_acts)[:, 0]
     objective = float(np.mean(q))
     d_q = np.full((len(states), 1), 1.0 / len(states))
-    d_in = input_grad(ac.critic, critic_cache, d_q)
+    d_in = input_grad(ac.critic, critic_acts, d_q)
     d_action = d_in[:, ac.n_classes :]
     d_raw = d_action * (ac.cfg.b_u - ac.cfg.b_l) * sig * (1.0 - sig)
-    grads = backward(ac.actor, actor_cache, d_raw)
+    grads = backward(ac.actor, actor_acts, d_raw)
     # gradient ascent on the objective
-    ac.actor.params[...] = sgd_step(ac.actor.params, grads, -ac.cfg.actor_lr)
+    sgd_step(ac.actor.params, grads, -ac.cfg.actor_lr)
     return objective
 
 

@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,10 @@ EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    # Not mkstemp: its 0600 mode would survive the rename. A new file gets
+    # 0666 less the umask, as any other file the user writes.
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -65,7 +67,7 @@ def _per_round(records: list[dict], opt_id: int | None, shown_id: int | None):
 
 def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
     # Build every text before writing anything: a non-finite value raises here.
-    records = [r.to_dict() for r in result.rounds]
+    records = [vars(r) for r in result.rounds]
     rounds_text = "".join(
         json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records
     )
@@ -232,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     name = os.environ.get("FEDOPT_LOG", "INFO")
     level = logging.getLevelName(name.upper())  # an int for a known level name
-    logging.basicConfig(level=level if isinstance(level, int) else logging.INFO)
+    logging.basicConfig()  # a no-op after the first call, so the level is set on `log`
+    log.setLevel(level if isinstance(level, int) else logging.INFO)
     if not isinstance(level, int):
         log.error("FEDOPT_LOG=%s is not a log level (use DEBUG, INFO, WARNING or ERROR)", name)
         return EXIT_USAGE

@@ -62,20 +62,20 @@ class Mlp:
         return Mlp(self.layer_dims, self.params.copy())
 
 
-def forward(model: Mlp, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """Forward pass; fills `cache` with per-layer activations if given."""
+def forward(model: Mlp, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Forward pass; a given `acts` list is refilled with the input and each layer's output."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != model.layer_dims[0]:
         raise ValueError(f"input dim {x.shape[-1]} != {model.layer_dims[0]}")
-    acts = [x]
+    if acts is None:
+        acts = []
+    acts[:] = [x]
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = h @ w + b
         h = z if i == last else np.maximum(z, 0.0)
         acts.append(h)
-    if cache is not None:
-        cache["acts"] = acts
     return h
 
 
@@ -111,21 +111,12 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return d
 
 
-def _cached_acts(model: Mlp, cache: dict) -> list[np.ndarray]:
-    if "acts" not in cache:
-        raise ValueError("missing forward cache")
-    if len(cache["acts"]) != len(model.weights) + 1:
-        raise ValueError("stale forward cache")
-    return cache["acts"]
-
-
-def backward(model: Mlp, cache: dict, d_logits: np.ndarray) -> np.ndarray:
-    """Backprop `d_logits` through the cached forward pass.
+def backward(model: Mlp, acts: list[np.ndarray], d_logits: np.ndarray) -> np.ndarray:
+    """Backprop `d_logits` through the forward pass that filled `acts`.
 
     Returns the flat parameter gradients in the canonical layout; the
     gradient w.r.t. the inputs is `input_grad`'s.
     """
-    acts = _cached_acts(model, cache)
     grads = [None] * (2 * len(model.weights))  # w0, b0, w1, b1, ...: the canonical layout
     delta = np.atleast_2d(d_logits)
     lead = delta.shape[:-2]
@@ -138,9 +129,8 @@ def backward(model: Mlp, cache: dict, d_logits: np.ndarray) -> np.ndarray:
     return np.concatenate(grads, axis=-1)
 
 
-def input_grad(model: Mlp, cache: dict, d_logits: np.ndarray) -> np.ndarray:
-    """Backprop `d_logits` to the inputs of the cached forward pass."""
-    acts = _cached_acts(model, cache)
+def input_grad(model: Mlp, acts: list[np.ndarray], d_logits: np.ndarray) -> np.ndarray:
+    """Backprop `d_logits` to the inputs of the forward pass that filled `acts`."""
     delta = np.atleast_2d(d_logits)
     for i in reversed(range(len(model.weights))):
         delta = delta @ model.weights[i].swapaxes(-1, -2)
@@ -149,9 +139,8 @@ def input_grad(model: Mlp, cache: dict, d_logits: np.ndarray) -> np.ndarray:
     return delta
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """params -= lr * grads, in place."""
     if params.shape != grads.shape:
         raise ValueError("params/grads length mismatch")
-    return params - lr * grads
+    params -= lr * grads

@@ -18,7 +18,7 @@ from fedopt.agent import (
     weighted_metric_action,
 )
 from fedopt.data import ClientPartition
-from fedopt.nn import Mlp, forward, sgd_step
+from fedopt.nn import Mlp, forward
 from fedopt.orchestrator import ExperimentConfig, _OptimizedClient
 from tests.test_nn import reference_backward
 
@@ -490,20 +490,20 @@ class _CopyingReference:
         next_a = ac._act(ac.actor_target, boots)
         q_next = forward(ac.critic_target, np.hstack([boots, next_a]))[:, 0]
         target = returns + (cfg.gamma**steps) * (1.0 - terminal) * q_next
-        cache = {}
-        err = forward(ac.critic, np.hstack([states, actions]), cache)[:, 0] - target
-        grads, _ = reference_backward(ac.critic, cache, (2.0 * err / len(err))[:, None])
-        ac.critic = Mlp(ac.critic.layer_dims, sgd_step(ac.critic.params, grads, cfg.critic_lr))
+        critic_acts = []
+        err = forward(ac.critic, np.hstack([states, actions]), critic_acts)[:, 0] - target
+        grads, _ = reference_backward(ac.critic, critic_acts, (2.0 * err / len(err))[:, None])
+        ac.critic = Mlp(ac.critic.layer_dims, ac.critic.params - cfg.critic_lr * grads)
 
-        actor_cache, critic_cache = {}, {}
-        sig = 0.5 * (1.0 + np.tanh(0.5 * forward(ac.actor, states, actor_cache)))
+        actor_acts, critic_acts = [], []
+        sig = 0.5 * (1.0 + np.tanh(0.5 * forward(ac.actor, states, actor_acts)))
         acts = cfg.b_l + (cfg.b_u - cfg.b_l) * sig
-        forward(ac.critic, np.hstack([states, acts]), critic_cache)
-        _, d_in = reference_backward(ac.critic, critic_cache,
+        forward(ac.critic, np.hstack([states, acts]), critic_acts)
+        _, d_in = reference_backward(ac.critic, critic_acts,
                                      np.full((len(states), 1), 1.0 / len(states)))
         d_raw = d_in[:, ac.n_classes:] * (cfg.b_u - cfg.b_l) * sig * (1.0 - sig)
-        grads, _ = reference_backward(ac.actor, actor_cache, d_raw)
-        ac.actor = Mlp(ac.actor.layer_dims, sgd_step(ac.actor.params, grads, -cfg.actor_lr))
+        grads, _ = reference_backward(ac.actor, actor_acts, d_raw)
+        ac.actor = Mlp(ac.actor.layer_dims, ac.actor.params + cfg.actor_lr * grads)  # ascent
 
         tau = cfg.soft_update_tau
         ac.actor_target, ac.critic_target = (

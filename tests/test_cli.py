@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import fedopt
 
-from fedopt.cli import _write_outputs, main
+from fedopt.cli import _atomic_write, _write_outputs, main
 from fedopt.config import ConfigError, emit_config, parse_config
 from fedopt.orchestrator import ExperimentConfig, RoundRecord, RunResult
 
@@ -182,6 +183,30 @@ class TestCmdRun:
         main(["run", "--config", str(small_config), "--out", str(out1)])
         main(["run", "--config", str(out1 / "config.resolved.cfg"), "--out", str(out2)])
         assert (out1 / "rounds.jsonl").read_bytes() == (out2 / "rounds.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
+    def test_artifacts_get_the_mode_the_umask_gives(self, small_config, tmp_path, umask, mode):
+        out, plots = tmp_path / "out", tmp_path / "plots"
+        old = os.umask(umask)
+        try:
+            assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+            assert main(["plot-data", "--rounds", str(out / "rounds.jsonl"),
+                         "--out", str(plots)]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in [*out.iterdir(), *plots.iterdir()]}
+        assert {"rounds.jsonl", "summary.csv", "accuracy.csv"} <= modes.keys()
+        assert not any(name.endswith(".tmp") for name in modes)
+        assert modes == dict.fromkeys(modes, mode)
+
+    def test_atomic_write_removes_its_temp_file_on_failure(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(tmp_path / "rounds.jsonl", "{}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -416,6 +441,24 @@ class TestLogLevel:
         monkeypatch.setenv("FEDOPT_LOG", "debug")
         assert main(["validate-config", "--config", str(small_config)]) == 0
 
+    def test_level_applies_on_every_in_process_call(self, tmp_path, monkeypatch, caplog):
+        # logging.basicConfig does nothing after its first call; the level must still change.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("c_ratio = 9\n")
+        argv = ["run", "--config", str(bad), "--out", str(tmp_path / "o")]
+        fedopt_log = logging.getLogger("fedopt")
+        before = fedopt_log.level
+        try:
+            monkeypatch.setenv("FEDOPT_LOG", "INFO")
+            assert main(argv) == 2
+            assert "config: c_ratio outside (0, 1]" in caplog.text
+            caplog.clear()
+            monkeypatch.setenv("FEDOPT_LOG", "CRITICAL")
+            assert main(argv) == 2
+            assert caplog.records == []
+        finally:
+            fedopt_log.setLevel(before)
+
     def test_unknown_level_prints_one_line_and_no_traceback(self, small_config):
         # A fresh interpreter: the root logger has no handler yet.
         src = str(Path(fedopt.__file__).resolve().parents[1])
@@ -441,6 +484,13 @@ class TestCmdBound:
 
     def test_length_mismatch_usage_error(self):
         assert main(["bound", "--Z", "1,1", "--z", "0.5"]) == 1
+
+    @pytest.mark.parametrize("big,small", [("nan,0.5", "0.1,0.2"), ("0.5,0.5", "0.1,nan"),
+                                           ("nan", "nan")])
+    def test_nan_radius_is_a_usage_error(self, big, small, capsys, caplog):
+        assert main(["bound", "--Z", big, "--z", small]) == 1
+        assert capsys.readouterr().out == ""
+        assert "bound: need 0 <= z_c <= Z_c <= 1" in caplog.text
 
 
 class TestValidateConfig:

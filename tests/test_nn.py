@@ -40,16 +40,12 @@ def reference_cross_entropy(logits, labels):
     return (float(loss) if loss.ndim == 0 else loss), d / n
 
 
-def reference_backward(model, cache, d_logits):
-    """Backprop `d_logits` through the cached forward pass.
+def reference_backward(model, acts, d_logits):
+    """Backprop `d_logits` through the forward pass that filled `acts`.
 
     Returns (flat gradients in the canonical layout, gradient w.r.t. inputs).
     """
-    if "acts" not in cache:
-        raise ValueError("missing forward cache")
-    acts = cache["acts"]
-    if len(acts) != len(model.weights) + 1:
-        raise ValueError("stale forward cache")
+    assert len(acts) == len(model.weights) + 1
     grads = [None] * (2 * len(model.weights))  # w0, b0, w1, b1, ...: the canonical layout
     delta = np.atleast_2d(d_logits)
     lead = delta.shape[:-2]
@@ -76,10 +72,10 @@ def numeric_param_grad(model, x, y, h=1e-5):
 
 
 def analytic_param_grad(model, x, y):
-    cache = {}
-    logits = forward(model, x, cache)
+    acts = []
+    logits = forward(model, x, acts)
     _, d_logits = reference_cross_entropy(logits, y)
-    grads, _ = reference_backward(model, cache, d_logits)
+    grads, _ = reference_backward(model, acts, d_logits)
     return grads
 
 
@@ -106,6 +102,31 @@ class TestForward:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             forward(Mlp([3, 2]), np.ones((1, 4)))
+
+    def test_acts_holds_the_input_and_each_layer_output(self):
+        rng = np.random.default_rng(5)
+        m = Mlp.init_glorot([3, 4, 2], rng)
+        x = rng.normal(size=(5, 3))
+        acts = []
+        logits = forward(m, x, acts)
+        hidden = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
+        assert len(acts) == 3
+        assert np.array_equal(acts[0], x) and np.array_equal(acts[1], hidden)
+        assert acts[2] is logits
+
+    def test_reused_acts_holds_only_the_latest_pass(self):
+        rng = np.random.default_rng(6)
+        deep, shallow = Mlp.init_glorot([3, 4, 5, 2], rng), Mlp.init_glorot([3, 2], rng)
+        x1, x2 = rng.normal(size=(4, 3)), rng.normal(size=(7, 3))
+        acts = []
+        forward(deep, x1, acts)
+        logits = forward(shallow, x2, acts)
+        assert len(acts) == 2
+        assert np.array_equal(acts[0], x2) and acts[1] is logits
+        fresh = []
+        forward(shallow, x2, fresh)
+        d = rng.normal(size=(7, 2))
+        assert np.array_equal(backward(shallow, acts, d), backward(shallow, fresh, d))
 
 
 class TestParamVector:
@@ -287,9 +308,9 @@ class TestBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(3)
         m = Mlp.init_glorot([3, 4, 2], rng)
-        cache = {}
-        forward(m, rng.normal(size=(5, 3)), cache)
-        grads = backward(m, cache, np.zeros((5, 2)))
+        acts = []
+        forward(m, rng.normal(size=(5, 3)), acts)
+        grads = backward(m, acts, np.zeros((5, 2)))
         assert np.all(grads == 0.0)
 
     @pytest.mark.parametrize("dims", [[2, 3, 2], [4, 8, 4], [5, 5]])
@@ -310,50 +331,57 @@ class TestBackward:
         g2 = analytic_param_grad(m, np.vstack([x, x]), np.array([1, 1]))
         np.testing.assert_allclose(g1, g2, rtol=1e-12)
 
-    def test_missing_cache(self):
-        with pytest.raises(ValueError):
-            backward(Mlp([2, 2]), {}, np.zeros((1, 2)))
-
-    @pytest.mark.parametrize("fn", [backward, input_grad])
-    def test_missing_or_stale_cache_names_it(self, fn):
-        with pytest.raises(ValueError, match="missing forward cache"):
-            fn(Mlp([2, 2]), {}, np.zeros((1, 2)))
-        cache = {}
-        forward(Mlp([2, 2]), np.zeros((1, 2)), cache)
-        with pytest.raises(ValueError, match="stale forward cache"):
-            fn(Mlp([2, 3, 2]), cache, np.zeros((1, 2)))
-
     @pytest.mark.parametrize("dims", [[3, 1, 2], [4, 8, 4], [2, 3, 4, 2], [5, 3]])
     @pytest.mark.parametrize("lead", [(), (1,), (5,)])
     def test_backward_and_input_grad_equal_the_combined_reference_bit_for_bit(self, dims, lead):
         rng = np.random.default_rng(len(dims) * 10 + len(lead))
         m = Mlp(dims, np.stack([Mlp.init_glorot(dims, rng).params for _ in range(lead[0])])
                 if lead else Mlp.init_glorot(dims, rng).params)
-        cache = {}
-        forward(m, rng.normal(size=(*lead, 6, dims[0])), cache)
+        acts = []
+        forward(m, rng.normal(size=(*lead, 6, dims[0])), acts)
         upstream = rng.normal(size=(*lead, 6, dims[-1]))
-        ref_grads, ref_d_in = reference_backward(m, cache, upstream)
-        assert np.array_equal(backward(m, cache, upstream), ref_grads)
-        assert np.array_equal(input_grad(m, cache, upstream), ref_d_in)
+        ref_grads, ref_d_in = reference_backward(m, acts, upstream)
+        assert np.array_equal(backward(m, acts, upstream), ref_grads)
+        assert np.array_equal(input_grad(m, acts, upstream), ref_d_in)
 
 
 class TestSgdStep:
     def test_zero_lr(self):
         p = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(sgd_step(p, np.array([5.0, -5.0]), 0.0), p)
+        sgd_step(p, np.array([5.0, -5.0]), 0.0)
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_hand_arithmetic(self):
-        out = sgd_step(np.array([1.0, 1.0]), np.array([1.0, -1.0]), 0.5)
-        np.testing.assert_array_equal(out, [0.5, 1.5])
+        p = np.array([1.0, 1.0])
+        assert sgd_step(p, np.array([1.0, -1.0]), 0.5) is None
+        np.testing.assert_array_equal(p, [0.5, 1.5])
 
     def test_two_steps_compose(self):
-        p = np.array([3.0])
+        p, q = np.array([3.0]), np.array([3.0])
         g = np.array([2.0])
-        np.testing.assert_allclose(sgd_step(sgd_step(p, g, 0.1), g, 0.1), sgd_step(p, g, 0.2))
+        sgd_step(p, g, 0.1)
+        sgd_step(p, g, 0.1)
+        sgd_step(q, g, 0.2)
+        np.testing.assert_allclose(p, q)
 
     def test_length_mismatch(self):
+        p = np.zeros(2)
         with pytest.raises(ValueError):
-            sgd_step(np.zeros(2), np.zeros(3), 0.1)
+            sgd_step(p, np.zeros(3), 0.1)
+        assert np.all(p == 0.0)
+
+    def test_updates_a_client_stack_in_place_through_an_mlp_view(self):
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(4, 26))
+        before = stack.copy()
+        m = Mlp([3, 4, 2], stack[1:3])
+        weight0 = m.weights[0]
+        grads = rng.normal(size=(2, 26))
+        assert sgd_step(m.params, grads, 0.25) is None
+        np.testing.assert_array_equal(stack[1:3], before[1:3] - 0.25 * grads)
+        np.testing.assert_array_equal(stack[[0, 3]], before[[0, 3]])
+        assert m.weights[0] is weight0
+        np.testing.assert_array_equal(weight0, stack[1:3, :12].reshape(2, 3, 4))
 
 
 
@@ -385,21 +413,23 @@ class TestClientStack:
         x = rng.normal(size=(groups, rows, dims[0]))
         y = rng.integers(0, dims[-1], size=(groups, rows))
         m = Mlp(dims, stack)
-        cache = {}
-        logits = forward(m, x, cache)
+        acts = []
+        logits = forward(m, x, acts)
         loss = cross_entropy_loss(logits, y)
         d_logits = cross_entropy_grad(logits, y)
-        grads = backward(m, cache, d_logits)
-        d_in = input_grad(m, cache, d_logits)
-        stepped = sgd_step(stack, grads, 0.3)
+        grads = backward(m, acts, d_logits)
+        d_in = input_grad(m, acts, d_logits)
+        stepped = stack.copy()
+        sgd_step(stepped, grads, 0.3)
         assert loss.shape == (groups,) and grads.shape == stack.shape
         for g in range(groups):
             one = Mlp(dims, stack[g].copy())
-            c1 = {}
-            lg1 = forward(one, x[g], c1)
+            a1 = []
+            lg1 = forward(one, x[g], a1)
             l1, d1 = cross_entropy_loss(lg1, y[g]), cross_entropy_grad(lg1, y[g])
-            g1, di1 = backward(one, c1, d1), input_grad(one, c1, d1)
+            g1, di1 = backward(one, a1, d1), input_grad(one, a1, d1)
             assert np.array_equal(logits[g], lg1)
             assert loss[g] == l1 and np.array_equal(d_logits[g], d1)
             assert np.array_equal(grads[g], g1) and np.array_equal(d_in[g], di1)
-            assert np.array_equal(stepped[g], sgd_step(one.params, g1, 0.3))
+            sgd_step(one.params, g1, 0.3)
+            assert np.array_equal(stepped[g], one.params)
