@@ -32,10 +32,7 @@ class ServerState:
 def _stack(updates: list[ClientUpdate]) -> np.ndarray:
     if not updates:
         raise ValueError("no client updates")
-    mat = np.stack([u.params for u in updates])
-    if len({u.params.shape[0] for u in updates}) != 1:
-        raise ValueError("inconsistent parameter lengths")
-    return mat
+    return np.stack([u.params for u in updates])  # unequal lengths raise ValueError
 
 
 def fed_avg(updates: list[ClientUpdate]) -> np.ndarray:

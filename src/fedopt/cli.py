@@ -104,8 +104,7 @@ def cmd_run(args) -> int:
         log.error("config: %s", exc)
         return EXIT_CONFIG
     if args.seed is not None:
-        cfg.seed_data, cfg.seed_init = args.seed, args.seed + 1
-        cfg.seed_agent, cfg.seed_sampling = args.seed + 2, args.seed + 3
+        cfg.seed = args.seed
     if args.ablation_naive_all:
         cfg.optimized_client = None
     try:
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a federated experiment")
     p_run.add_argument("--config", help="config file (defaults apply when omitted)")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, help="override all seed streams from this base")
+    p_run.add_argument("--seed", type=int, help="override the config's seed")
     p_run.add_argument("--ablation-naive-all", action="store_true",
                        help="disable the optimized client (naive actions for everyone)")
     p_run.set_defaults(func=cmd_run)
@@ -233,11 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     name = os.environ.get("FEDOPT_LOG", "INFO")
-    level = logging.getLevelName(name.upper())  # an int for a known level name
+    known = name.upper() in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
     logging.basicConfig()  # a no-op after the first call, so the level is set on `log`
-    log.setLevel(level if isinstance(level, int) else logging.INFO)
-    if not isinstance(level, int):
-        log.error("FEDOPT_LOG=%s is not a log level (use DEBUG, INFO, WARNING or ERROR)", name)
+    log.setLevel(name.upper() if known else logging.INFO)
+    if not known:
+        log.error("FEDOPT_LOG=%s is not a log level (use DEBUG, INFO, WARNING, ERROR or CRITICAL)",
+                  name)
         return EXIT_USAGE
     parser = build_parser()
     try:

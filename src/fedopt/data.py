@@ -60,14 +60,17 @@ def generate_synthetic(
 def load_csv(path: str) -> LabeledDataset:
     """Header-free numeric CSV, one sample per row, integer label last.
 
-    A file with no rows or no feature column, a non-finite feature, or a
-    label that is not a non-negative integer raises ValueError naming the
-    path and the first bad row; so does a file whose labels hold fewer than
-    two classes.
+    A file numpy cannot parse, with no rows or no feature column, a
+    non-finite feature, or a label that is not a non-negative integer raises
+    ValueError naming the path (and the first bad row); so does a file whose
+    labels hold fewer than two classes.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a header row, a word, a ragged row
+            raise ValueError(f"{path}: {exc}") from None
     if raw.size == 0:
         raise ValueError(f"{path}: no data rows")
     if raw.shape[1] < 2:

@@ -3,8 +3,8 @@ performance-bound calculator.
 
 One client ("optimized") chooses per-class training-data fractions through
 a DDPG agent each round; every other ("naive") client trains on its full
-local train split. All randomness flows from named seed streams so equal
-configs replay bit-identically.
+local train split. All randomness flows from four streams of `seed` (data,
+init, agent, sampling: seed + 0..3), so equal configs replay bit-identically.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ class ExperimentConfig:
     action_strategy: str = "normalized"
     dirichlet_alpha: float = 0.5
     split_ratio: float = 0.8
-    seed_data: int = 0
-    seed_init: int = 1
-    seed_agent: int = 2
-    seed_sampling: int = 3
+    seed: int = 0  # data stream seed, init seed + 1, agent seed + 2, sampling seed + 3
     hidden_dims: list[int] = field(default_factory=lambda: [32])
     n_classes: int = 4
     n_per_class: int = 400
@@ -94,9 +91,8 @@ class ExperimentConfig:
             raise ValueError("fedavgm_server_lr must be > 0")
         if self.cda_depth < 0:
             raise ValueError("cda_depth must be >= 0")
-        for key in ("seed_data", "seed_init", "seed_agent", "seed_sampling"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.aggregation not in STRATEGIES:
             raise ValueError(f"aggregation must be one of {STRATEGIES}")
         if self.action_strategy not in ACTION_STRATEGIES:
@@ -280,11 +276,11 @@ class _OptimizedClient:
         self.cfg, self.arch, self.part, self.x, self.y = cfg, arch, part, x, y
         idx = part.all_train_indices()
         self.xt, self.yt = x[idx], y[idx]
-        self.ac = ActorCritic(arch[-1], cfg.agent, np.random.default_rng(cfg.seed_agent))
+        self.ac = ActorCritic(arch[-1], cfg.agent, np.random.default_rng(cfg.seed + 2))
         # A run pushes at most one transition a round, so a larger ring stays empty.
         self.buffer = ReplayBuffer(min(cfg.agent.buffer_capacity, cfg.rounds), arch[-1],
-                                   _derived_seed(cfg.seed_agent, 1))
-        self.rng = np.random.default_rng(_derived_seed(cfg.seed_agent, 2))
+                                   _derived_seed(cfg.seed + 2, 1))
+        self.rng = np.random.default_rng(_derived_seed(cfg.seed + 2, 2))
         self.history = LossHistory()
         self.states: list[np.ndarray] = []  # the state of each round in history.rounds
         self.pending: tuple[np.ndarray, np.ndarray, float] | None = None
@@ -328,7 +324,7 @@ class _OptimizedClient:
             fractions = agent_mod.epsilon_greedy_select(explore, raw, eps, self.rng)
         _require_finite(f"round {t}: client {part.client_id}", fractions=fractions)
 
-        sel = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed_data, 41, t))
+        sel = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed, 41, t))
         self.picked = (t, state, l_agg, fractions, len(sel))
         return sel
 
@@ -380,7 +376,7 @@ class _OptimizedClient:
         return post_fl_finetune(
             self.arch, w_global, self.xt, self.yt, self.x[val], self.y[val], cfg.batch_size,
             cfg.lr, cfg.finetune_patience, cfg.finetune_max_epochs,
-            np.random.default_rng(_derived_seed(cfg.seed_data, 53)))
+            np.random.default_rng(_derived_seed(cfg.seed, 53)))
 
 
 def run_federated(cfg: ExperimentConfig) -> RunResult:
@@ -395,18 +391,18 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         ds = data_mod.load_csv(cfg.dataset_csv)
     else:
         ds = data_mod.generate_synthetic(
-            cfg.n_classes, cfg.n_per_class, cfg.feature_dim, cfg.spread, cfg.seed_data
+            cfg.n_classes, cfg.n_per_class, cfg.feature_dim, cfg.spread, cfg.seed
         )
-    raw_parts = data_mod.dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed_data)
+    raw_parts = data_mod.dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed)
     parts = [
-        data_mod.train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed_data, 17, p.client_id))
+        data_mod.train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed, 17, p.client_id))
         for p in raw_parts
     ]
     arch = [ds.features.shape[1], *cfg.hidden_dims, ds.n_classes]
-    init_rng = np.random.default_rng(cfg.seed_init)
+    init_rng = np.random.default_rng(cfg.seed + 1)
     global_params = Mlp.init_glorot(arch, init_rng).params
     server = ServerState(global_params)
-    rng_sampling = np.random.default_rng(cfg.seed_sampling)
+    rng_sampling = np.random.default_rng(cfg.seed + 3)
 
     x, y = ds.features, ds.labels
     opt = (None if cfg.optimized_client is None
@@ -441,7 +437,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         if opt_sampled:
             rows[cfg.optimized_client] = opt.round(server.global_params, t)
         gathered = np.concatenate(list(rows.values()))
-        rngs = [np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, k)) for k in rows]
+        rngs = [np.random.default_rng(_derived_seed(cfg.seed, 29, t, k)) for k in rows]
         trained = client_local_train(
             arch, server.global_params, x[gathered], y[gathered], cfg.local_epochs,
             cfg.batch_size, cfg.lr, rngs, [len(r) for r in rows.values()], prox,

@@ -25,14 +25,13 @@ class ExpFit:
 class RewardConfig:
     tau: int = 10
     lam: float = 0.25
-    div_guard: float = 1e-3
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
-        if self.tau < 1 or self.div_guard <= 0:
-            raise ValueError("need reward.tau >= 1 and reward.div_guard > 0")
+        if self.tau < 1:
+            raise ValueError("need reward.tau >= 1")
 
 
 @dataclass
@@ -100,16 +99,19 @@ def estimate_loss(f: ExpFit, t: float) -> float:
     return -f.u * np.exp(-f.v * t)
 
 
+DIV_GUARD = 1e-3  # least |mu_a - lambda| divided by: the paper's reward has no guard
+
+
 def compute_reward(l_agg: float, l_ref: float, mu_a: float, cfg: RewardConfig) -> float:
     """Relative loss improvement scaled by 1/(mean action - lambda).
 
     `l_ref` is the measured local loss before round tau and the fitted
-    estimate afterwards; the caller picks it. A small guard keeps the
+    estimate afterwards; the caller picks it. DIV_GUARD keeps the
     denominator away from zero.
     """
     if l_ref <= 0:
         raise ValueError(f"reference loss must be positive, got {l_ref}")
     denom = mu_a - cfg.lam
-    if abs(denom) < cfg.div_guard:
-        denom = cfg.div_guard if denom >= 0 else -cfg.div_guard
+    if abs(denom) < DIV_GUARD:
+        denom = DIV_GUARD if denom >= 0 else -DIV_GUARD
     return ((l_agg - l_ref) / l_ref) * (1.0 / denom)

@@ -514,7 +514,7 @@ class _CopyingReference:
 
 @pytest.mark.parametrize("n_step", [1, 3])
 def test_learn_matches_copying_reference(n_step):
-    cfg = ExperimentConfig(n_classes=3, seed_agent=4)
+    cfg = ExperimentConfig(n_classes=3, seed=2)
     cfg.agent = AgentConfig(n_step=n_step, batch_size=8, buffer_capacity=30, hidden=6,
                             actor_lr=0.05, critic_lr=0.05, soft_update_tau=0.1)
     part = ClientPartition(0, 3, [np.array([c]) for c in range(3)], np.array([3]))

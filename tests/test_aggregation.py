@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedopt.aggregation import (
+    STRATEGIES,
     ClientUpdate,
     ServerState,
     aggregate,
@@ -154,3 +155,9 @@ class TestAggregateDispatch:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             aggregate("fedfoo", updates_from([[1.0]]), ServerState(np.zeros(1)))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unequal_parameter_lengths_rejected(self, strategy):
+        ups = [ClientUpdate(0, np.zeros(3), 1), ClientUpdate(1, np.zeros(4), 1)]
+        with pytest.raises(ValueError, match="same shape"):
+            aggregate(strategy, ups, ServerState(np.zeros(3)))

@@ -97,8 +97,7 @@ class TestParseConfig:
         ("agent.batch_size = 0", "batch_size"), ("agent.hidden = 0", "hidden"),
         ("hidden_dims = 0", "hidden_dims"), ("hidden_dims = 8,0", "hidden_dims"),
         ("n_classes = 1", "n_classes"), ("dirichlet_alpha = 0", "dirichlet_alpha"),
-        ("cda_depth = -1", "cda_depth"), ("seed_data = -1", "seed_data"),
-        ("seed_sampling = -1", "seed_sampling"),
+        ("cda_depth = -1", "cda_depth"), ("seed = -1", "seed"),
         ("n_per_class = 0", "n_per_class"), ("feature_dim = 0", "feature_dim"),
         ("agent.buffer_capacity = 16", "agent.buffer_capacity"),
         ("agent.batch_size = 20000", "agent.buffer_capacity"),
@@ -154,8 +153,30 @@ class TestParseConfig:
 
     def test_negative_seed_flag_rejected(self, tmp_path, caplog):
         assert main(["run", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
-        assert "seed_data must be >= 0" in caplog.text
+        assert "config: seed must be >= 0" in caplog.text
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", [f"seed_{s}" for s in ("data", "init", "agent", "sampling")])
+    def test_old_seed_keys_are_unknown(self, tmp_path, caplog, key):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{key} = 5\n")
+        with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+            parse_config(str(path))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown key '{key}'" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_equals_seed_key(self, tmp_path):
+        (tmp_path / "flag.cfg").write_text(SMALL)
+        (tmp_path / "key.cfg").write_text(SMALL + "seed = 9\n")
+        assert main(["run", "--config", str(tmp_path / "flag.cfg"), "--seed", "9",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["run", "--config", str(tmp_path / "key.cfg"), "--out",
+                     str(tmp_path / "key")]) == 0
+        for name in ("config.resolved.cfg", "rounds.jsonl", "finetune.jsonl", "summary.csv"):
+            flag, key = (tmp_path / run / name for run in ("flag", "key"))
+            assert flag.read_bytes() == key.read_bytes(), name
 
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(rounds=12, optimized_client=None, hidden_dims=[16, 8])
@@ -246,6 +267,20 @@ class TestCmdRun:
         assert f"runtime: {data}: {message}" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: ["f0,f1,label", *rows],
+        lambda rows: [*rows[:4], "4.5,4.0", *rows[5:]],
+    ], ids=["header_row", "ragged_row"])
+    def test_csv_numpy_cannot_parse_exits_3_naming_the_file(self, tmp_path, caplog, edit):
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(edit([f"{i % 3}.5,{i}.0,{i % 2}" for i in range(40)])) + "\n")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"dataset_csv = {data}\nn_clients = 2\nrounds = 2\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"runtime: {data}: " in caplog.text
+        assert not out.exists()
+
     def test_decaying_reward_fit_falls_back_and_stays_finite(self, tmp_path):
         # At this seed the reference fit decays toward 0. Used as the reward's
         # denominator it made the reward grow without bound, and the actor
@@ -277,10 +312,10 @@ class TestCmdRun:
         # The only sampled client holds no training rows, so nothing is aggregated.
         cfg = tmp_path / "sparse.cfg"
         cfg.write_text("n_clients = 4\nrounds = 2\nn_classes = 3\nn_per_class = 20\n"
-                       "dirichlet_alpha = 1e-9\nc_ratio = 1e-9\nseed_sampling = 1\n")
+                       "dirichlet_alpha = 1e-9\nc_ratio = 1e-9\nseed = 12\n")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-        assert "runtime: round 0: no sampled client has training rows (client 1)" in caplog.text
+        assert "runtime: round 0: no sampled client has training rows (client 3)" in caplog.text
         assert not out.exists()
 
     def test_outputs_reject_non_finite_values(self, tmp_path):
@@ -432,14 +467,23 @@ class TestCmdPlotData:
 
 
 class TestLogLevel:
-    def test_unknown_level_is_a_usage_error(self, small_config, monkeypatch, caplog):
-        monkeypatch.setenv("FEDOPT_LOG", "verbose")
+    # logging knows these names too, but the documented levels are the five below.
+    @pytest.mark.parametrize("name", ["verbose", "notset", "fatal", "warn"])
+    def test_unknown_level_is_a_usage_error(self, small_config, monkeypatch, caplog, name):
+        monkeypatch.setenv("FEDOPT_LOG", name)
         assert main(["validate-config", "--config", str(small_config)]) == 1
-        assert "FEDOPT_LOG=verbose is not a log level" in caplog.text
+        assert f"FEDOPT_LOG={name} is not a log level" in caplog.text
 
-    def test_level_name_in_any_case(self, small_config, monkeypatch):
-        monkeypatch.setenv("FEDOPT_LOG", "debug")
-        assert main(["validate-config", "--config", str(small_config)]) == 0
+    @pytest.mark.parametrize("name", ["debug", "Info", "WARNING", "error", "critical"])
+    def test_level_name_in_any_case(self, small_config, monkeypatch, name):
+        fedopt_log = logging.getLogger("fedopt")
+        before = fedopt_log.level
+        try:
+            monkeypatch.setenv("FEDOPT_LOG", name)
+            assert main(["validate-config", "--config", str(small_config)]) == 0
+            assert fedopt_log.level == getattr(logging, name.upper())
+        finally:
+            fedopt_log.setLevel(before)
 
     def test_level_applies_on_every_in_process_call(self, tmp_path, monkeypatch, caplog):
         # logging.basicConfig does nothing after its first call; the level must still change.
@@ -469,7 +513,8 @@ class TestLogLevel:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.splitlines() == [
-            "ERROR:fedopt:FEDOPT_LOG=verbose is not a log level (use DEBUG, INFO, WARNING or ERROR)"
+            "ERROR:fedopt:FEDOPT_LOG=verbose is not a log level"
+            " (use DEBUG, INFO, WARNING, ERROR or CRITICAL)"
         ]
 
 

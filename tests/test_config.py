@@ -24,15 +24,14 @@ KEYS = list(ANNOTATIONS)
 EMITTED_KEYS = [
     "n_clients", "c_ratio", "rounds", "local_epochs", "batch_size", "lr",
     "optimized_client", "aggregation", "action_strategy", "dirichlet_alpha",
-    "split_ratio", "seed_data", "seed_init", "seed_agent", "seed_sampling",
-    "hidden_dims", "n_classes", "n_per_class", "feature_dim", "spread",
-    "dataset_csv", "finetune_patience", "finetune_max_epochs", "prox_mu",
+    "split_ratio", "seed", "hidden_dims", "n_classes", "n_per_class", "feature_dim",
+    "spread", "dataset_csv", "finetune_patience", "finetune_max_epochs", "prox_mu",
     "fedavgm_beta", "fedavgm_server_lr", "cda_depth",
     "agent.gamma", "agent.actor_lr", "agent.critic_lr", "agent.soft_update_tau",
     "agent.epsilon_start", "agent.epsilon_end", "agent.epsilon_decay", "agent.eta",
     "agent.b_l", "agent.b_u", "agent.buffer_capacity", "agent.batch_size",
     "agent.n_step", "agent.hidden",
-    "reward.tau", "reward.lambda", "reward.div_guard",
+    "reward.tau", "reward.lambda",
 ]
 
 
@@ -103,7 +102,7 @@ class TestSchema:
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
     def test_every_float_key_rejects_non_finite_values(self, tmp_path, value):
         floats = [key for key, annotation in ANNOTATIONS.items() if "float" in annotation]
-        assert len(floats) == 19
+        assert len(floats) == 18
         for key in floats:
             with pytest.raises(ConfigError, match=f"invalid value .* for key '{key}'"):
                 parse_config(write(tmp_path, f"{key} = {value}\n"))

@@ -299,7 +299,7 @@ class TestOptimizedClient:
         want = post_fl_finetune(self.ARCH, w, opt.x[:12], opt.y[:12], opt.x[12:], opt.y[12:],
                                 cfg.batch_size, cfg.lr, cfg.finetune_patience,
                                 cfg.finetune_max_epochs,
-                                np.random.default_rng(_derived_seed(cfg.seed_data, 53)))
+                                np.random.default_rng(_derived_seed(cfg.seed, 53)))
         assert np.array_equal(best, want[0]) and trace == want[1]
 
     def test_training_rows_gathered_once_per_run(self, monkeypatch):
@@ -491,7 +491,7 @@ class TestRunFederated:
         monkeypatch.setattr(orchestrator, "client_local_train", training)
         run_federated(cfg)
         ds = generate_synthetic(cfg.n_classes, cfg.n_per_class, cfg.feature_dim, cfg.spread,
-                                cfg.seed_data)
+                                cfg.seed)
         arch = [cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes]
         trained_opt = 0
         for t, rec in enumerate(log):
@@ -507,7 +507,7 @@ class TestRunFederated:
             (want,) = client_local_train(
                 arch, w_global, ds.features[sel], ds.labels[sel], cfg.local_epochs,
                 cfg.batch_size, cfg.lr,
-                [np.random.default_rng(_derived_seed(cfg.seed_data, 29, t, 0))], [len(sel)],
+                [np.random.default_rng(_derived_seed(cfg.seed, 29, t, 0))], [len(sel)],
                 cfg.prox_mu, w_global)
             assert np.array_equal(out[c], want)
             trained_opt += 1
@@ -520,11 +520,11 @@ class TestRunFederated:
         from fedopt.orchestrator import _derived_seed
 
         ds = generate_synthetic(cfg.n_classes, cfg.n_per_class, cfg.feature_dim,
-                                cfg.spread, cfg.seed_data)
-        part = dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed_data)[0]
-        part = train_val_split(part, cfg.split_ratio, _derived_seed(cfg.seed_data, 17, 0))
+                                cfg.spread, cfg.seed)
+        part = dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed)[0]
+        part = train_val_split(part, cfg.split_ratio, _derived_seed(cfg.seed, 17, 0))
         arch = [cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes]
-        w0 = Mlp.init_glorot(arch, np.random.default_rng(cfg.seed_init)).params.copy()
+        w0 = Mlp.init_glorot(arch, np.random.default_rng(cfg.seed + 1)).params.copy()
         idx = part.all_train_indices()
         expect = dataset_loss(arch, w0, ds.features[idx], ds.labels[idx])
         assert res.rounds[0].optimized["l_agg"] == pytest.approx(expect, rel=1e-12)
@@ -555,10 +555,10 @@ class TestRunFederated:
         from fedopt.orchestrator import _derived_seed
 
         ds = generate_synthetic(cfg.n_classes, cfg.n_per_class, cfg.feature_dim,
-                                cfg.spread, cfg.seed_data)
+                                cfg.spread, cfg.seed)
         parts = [
-            train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed_data, 17, p.client_id))
-            for p in dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed_data)
+            train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed, 17, p.client_id))
+            for p in dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed)
         ]
         model = Mlp([cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes], params)
         rows = []
@@ -669,9 +669,9 @@ class TestRunFederated:
                                              r"\(client 0 is the only client\)"):
             run_federated(small_cfg(n_clients=1, optimized_client=0))
 
-    @pytest.mark.parametrize("seed_data,split", [(2, "training"), (17, "validation")])
+    @pytest.mark.parametrize("seed,split", [(2, "training"), (17, "validation")])
     def test_optimized_client_without_rows_fails_before_round_0(
-        self, monkeypatch, seed_data, split
+        self, monkeypatch, seed, split
     ):
         from fedopt import orchestrator
 
@@ -679,7 +679,6 @@ class TestRunFederated:
             raise AssertionError("a round started")
 
         monkeypatch.setattr(orchestrator, "sample_clients", no_round)
-        cfg = ExperimentConfig(n_clients=20, n_per_class=5, dirichlet_alpha=0.05,
-                               seed_data=seed_data)
+        cfg = ExperimentConfig(n_clients=20, n_per_class=5, dirichlet_alpha=0.05, seed=seed)
         with pytest.raises(ValueError, match=f"^client 0: the optimized client has no {split} rows"):
             run_federated(cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedopt.reward import (
+    DIV_GUARD,
     ExpFit,
     LossHistory,
     RewardConfig,
@@ -122,10 +123,13 @@ class TestComputeReward:
         assert compute_reward(0.3, 0.5, 0.6, cfg) < 0
 
     def test_divergence_guard(self):
-        cfg = RewardConfig(lam=0.25, div_guard=1e-3)
+        cfg = RewardConfig(lam=0.25)
         r = compute_reward(1.0, 0.5, 0.25, cfg)
         assert np.isfinite(r)
-        assert r == pytest.approx(1.0 / 1e-3)
+        assert r == pytest.approx(1.0 / DIV_GUARD)
+        # Just below lambda the guard keeps the sign of mu_a - lambda.
+        below = compute_reward(1.0, 0.5, 0.25 - DIV_GUARD / 2, cfg)
+        assert below == pytest.approx(-1.0 / DIV_GUARD)
 
     def test_nonpositive_reference(self):
         with pytest.raises(ValueError):
@@ -140,5 +144,3 @@ class TestComputeReward:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             RewardConfig(tau=0)
-        with pytest.raises(ValueError):
-            RewardConfig(div_guard=0.0)
