@@ -64,6 +64,8 @@ def fed_cda_lite(updates: list[ClientUpdate], state: ServerState, m: int) -> np.
 
     For every client, pick whichever of its <= m cached models or current
     update is closest (L2) to the current global, then fed_avg the picks.
+    The cache keeps each update's own array, not a copy, so no caller may
+    change an update's params in place.
     """
     _stack(updates)
     chosen = []
@@ -72,7 +74,7 @@ def fed_cda_lite(updates: list[ClientUpdate], state: ServerState, m: int) -> np.
         candidates = list(cache) + [u.params]
         dists = [np.linalg.norm(p - state.global_params) for p in candidates]
         chosen.append(ClientUpdate(u.client_id, candidates[int(np.argmin(dists))], u.n_samples))
-        cache.append(u.params.copy())
+        cache.append(u.params)
     return fed_avg(chosen)
 
 

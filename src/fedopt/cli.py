@@ -29,14 +29,15 @@ log = logging.getLogger("fedopt")
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, *texts: str) -> None:
     # Not mkstemp: its 0600 mode would survive the rename. A new file gets
-    # 0666 less the umask, as any other file the user writes.
+    # 0666 less the umask, as any other file the user writes. The texts are
+    # written one by one, so a long file is never joined into one more copy.
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,40 +49,41 @@ def _csv(header: str, rows) -> str:
     return "".join(f"{line}\n" for line in (header, *rows))
 
 
-def _per_round(records: list[dict], opt_id: int | None, shown_id: int | None):
-    """(round, naive mean, shown client's row or None) for each record.
+def _per_round(rec: dict, opt_id: int | None, shown_id: int | None):
+    """(round, naive mean, shown client's row or None) of one rounds.jsonl record.
 
     The naive mean holds precision, recall and accuracy averaged over every
     client but `opt_id`; `run_federated` stops before round 0 unless some
     naive client has validation rows.
     """
-    for rec in records:
-        rows = rec["client_metrics"]
-        naive = [m for m in rows if m["client"] != opt_id]
-        if not naive:
-            raise ValueError(f"round {rec['round']}: no naive client has metrics")
-        mean = {key: float(np.mean([m[key] for m in naive]))
-                for key in ("precision", "recall", "accuracy")}
-        yield rec["round"], mean, next((m for m in rows if m["client"] == shown_id), None)
+    rows = rec["client_metrics"]
+    naive = [m for m in rows if m["client"] != opt_id]
+    if not naive:
+        raise ValueError(f"round {rec['round']}: no naive client has metrics")
+    mean = {key: float(np.mean([m[key] for m in naive]))
+            for key in ("precision", "recall", "accuracy")}
+    return rec["round"], mean, next((m for m in rows if m["client"] == shown_id), None)
 
 
 def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
     # Build every text before writing anything: a non-finite value raises here.
-    records = [vars(r) for r in result.rounds]
-    rounds_text = "".join(
-        json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records
-    )
-    ft_text = "".join(
-        json.dumps(e, sort_keys=True, allow_nan=False) + "\n" for e in result.finetune_trace
-    )
+    # A round's per-client dicts exist only while its line is built.
     opt_id = cfg.optimized_client
     best_naive = dict.fromkeys(("precision", "recall", "accuracy"), 0.0)
     best_opt = dict(best_naive)
-    for _, naive, row in _per_round(records, opt_id, opt_id):
+    lines = []
+    for r in result.rounds:
+        rec = {"round": r.round, "sampled": r.sampled, "client_metrics": r.client_metrics,
+               "optimized": r.optimized, "aggregation": r.aggregation}
+        lines.append(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+        _, naive, row = _per_round(rec, opt_id, opt_id)
         for key in best_naive:
             best_naive[key] = max(best_naive[key], naive[key])
             if row:
                 best_opt[key] = max(best_opt[key], row[key])
+    ft_text = "".join(
+        json.dumps(e, sort_keys=True, allow_nan=False) + "\n" for e in result.finetune_trace
+    )
     for e in result.finetune_trace:
         best_opt["accuracy"] = max(best_opt["accuracy"], e["val_accuracy"])
     bests = {"naive_mean": best_naive}
@@ -92,7 +94,7 @@ def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> N
         for label, b in bests.items()))
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "config.resolved.cfg", emit_config(cfg))
-    _atomic_write(out_dir / "rounds.jsonl", rounds_text)
+    _atomic_write(out_dir / "rounds.jsonl", *lines)
     _atomic_write(out_dir / "finetune.jsonl", ft_text)
     _atomic_write(out_dir / "summary.csv", summary)
 
@@ -143,11 +145,15 @@ def cmd_plot_data(args) -> int:
         records = _read_jsonl(rounds_path)
         # The run's own config names its optimized client, sampled or not;
         # a naive-all run has none, and --optimized-client picks the one shown.
-        opt_id = parse_config(str(rounds_path.parent / "config.resolved.cfg")).optimized_client
+        cfg_path = rounds_path.parent / "config.resolved.cfg"
+        try:
+            opt_id = parse_config(str(cfg_path)).optimized_client
+        except ConfigError as exc:
+            raise ConfigError(f"{cfg_path}: {exc}") from None
         shown_id = args.optimized_client if opt_id is None else opt_id
         texts = {"accuracy.csv": _csv("round,naive_mean_acc,optimized_acc", (
             f"{t},{naive['accuracy']:.6f},{(row['accuracy'] if row else float('nan')):.6f}"
-            for t, naive, row in _per_round(records, opt_id, shown_id)))}
+            for t, naive, row in (_per_round(rec, opt_id, shown_id) for rec in records)))}
         fracs = [(r["round"], r["optimized"]["fractions"]) for r in records if r.get("optimized")]
         if fracs:
             header = "round," + ",".join(f"frac_{c}" for c in range(len(fracs[0][1])))

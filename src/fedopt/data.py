@@ -62,14 +62,20 @@ def load_csv(path: str) -> LabeledDataset:
 
     A file numpy cannot parse, with no rows or no feature column, a
     non-finite feature, or a label that is not a non-negative integer raises
-    ValueError naming the path (and the first bad row); so does a file whose
-    labels hold fewer than two classes.
+    ValueError naming the path (and the first bad row or ragged row); so does
+    a file whose labels hold fewer than two classes.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         try:
             raw = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:  # a header row, a word, a ragged row
+            # Data rows are the lines loadtxt reads: not blank once comments are cut.
+            with open(path, errors="replace") as fh:
+                cols = [r.count(",") + 1 for line in fh if (r := line.split("#")[0].strip())]
+            bad = [i for i, c in enumerate(cols) if c != cols[0]]
+            if bad:
+                exc = f"data row {bad[0] + 1} has {cols[bad[0]]} columns, expected {cols[0]}"
             raise ValueError(f"{path}: {exc}") from None
     if raw.size == 0:
         raise ValueError(f"{path}: no data rows")

@@ -105,13 +105,25 @@ class ExperimentConfig:
         self.reward.validate()
 
 
+# The scores of one client in one round, in the order of the last axis of
+# RunResult.metrics.
+METRICS = ("accuracy", "precision", "recall", "f1")
+
+
 @dataclass
 class RoundRecord:
     round: int
     sampled: list[int]
-    client_metrics: list[dict]
+    metrics: np.ndarray  # (len(evaluated), len(METRICS)): this round's row of RunResult.metrics
+    evaluated: list[int]  # the ids of the clients with validation rows
     optimized: dict | None
     aggregation: str
+
+    @property
+    def client_metrics(self) -> list[dict]:
+        """One dict per evaluated client, its id and METRICS, as rounds.jsonl holds them."""
+        return [{"client": k, "accuracy": a, "precision": p, "recall": r, "f1": f1}
+                for k, (a, p, r, f1) in zip(self.evaluated, self.metrics.tolist())]
 
 
 @dataclass
@@ -119,6 +131,8 @@ class RunResult:
     final_global: np.ndarray
     client_params: dict[int, np.ndarray]
     rounds: list[RoundRecord]
+    metrics: np.ndarray  # (rounds, len(evaluated), len(METRICS)) float64
+    evaluated: list[int]  # the ids of the clients with validation rows
     finetune_trace: list[dict]
     finetuned_params: np.ndarray | None
     arch: list[int]
@@ -420,6 +434,8 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     val_slots = np.repeat(np.arange(len(val_parts)), [len(p.val_indices) for p in val_parts])
     val_y = y[val_rows]
     train_rows = [p.all_train_indices() for p in parts]
+    evaluated = [p.client_id for p in val_parts]
+    metrics = np.empty((cfg.rounds, len(val_parts), len(METRICS)))
     records: list[RoundRecord] = []
     client_params: dict[int, np.ndarray] = {}
 
@@ -456,13 +472,10 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
 
         cms = evaluate(Mlp(arch, server.global_params), x, val_y, val_rows, val_slots,
                        len(val_parts))
-        p, r, f1 = (m.mean(axis=-1).tolist() for m in class_prf1(cms))
-        client_metrics = [
-            {"client": part.client_id, "accuracy": acc_g, "precision": p_g, "recall": r_g,
-             "f1": f1_g}
-            for part, acc_g, p_g, r_g, f1_g in zip(val_parts, accuracy(cms).tolist(), p, r, f1)
-        ]
-        records.append(RoundRecord(t, sampled, client_metrics, opt_fragment, cfg.aggregation))
+        metrics[t] = np.column_stack([accuracy(cms), *(m.mean(axis=-1) for m in class_prf1(cms))])
+        records.append(RoundRecord(t, sampled, metrics[t], evaluated, opt_fragment,
+                                   cfg.aggregation))
 
     finetuned, finetune_trace = (None, []) if opt is None else opt.finish(server.global_params)
-    return RunResult(server.global_params, client_params, records, finetune_trace, finetuned, arch)
+    return RunResult(server.global_params, client_params, records, metrics, evaluated,
+                     finetune_trace, finetuned, arch)

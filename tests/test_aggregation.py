@@ -132,6 +132,26 @@ class TestFedCdaLite:
 
 
 class TestAggregateDispatch:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_updates_stay_bitwise_unchanged(self, strategy):
+        # fedcda's cache holds the update arrays themselves and picks among them.
+        rng = np.random.default_rng(8)
+        state = ServerState(rng.normal(size=5))
+        seen = []  # every update so far and a copy of its params
+        for _ in range(5):
+            ups = [ClientUpdate(cid, rng.normal(size=5), int(rng.integers(1, 9)))
+                   for cid in (2, 0, 1)]
+            seen += [(u, u.params.copy()) for u in ups]
+            aggregate(strategy, ups, state, cda_depth=2)
+            for u, before in seen:
+                assert u.params.tobytes() == before.tobytes()
+
+    def test_fedcda_cache_keeps_the_update_array_itself(self):
+        state = ServerState(np.zeros(3))
+        ups = updates_from(np.eye(3))
+        aggregate("fedcda", ups, state, cda_depth=2)
+        assert all(state.model_cache[u.client_id][-1] is u.params for u in ups)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         mat = rng.normal(size=(4, 5))

@@ -15,7 +15,8 @@ import fedopt
 
 from fedopt.cli import _atomic_write, _write_outputs, main
 from fedopt.config import ConfigError, emit_config, parse_config
-from fedopt.orchestrator import ExperimentConfig, RoundRecord, RunResult
+from fedopt.orchestrator import ExperimentConfig, RoundRecord, RunResult, run_federated
+from tests.test_orchestrator import reference_client_metrics
 
 SMALL = """
 n_clients = 3
@@ -281,6 +282,44 @@ class TestCmdRun:
         assert f"runtime: {data}: " in caplog.text
         assert not out.exists()
 
+    def test_ragged_csv_row_exits_3_naming_the_row_and_column_counts(self, tmp_path, caplog):
+        data = tmp_path / "ragged.csv"
+        data.write_text("1.0,2.0,0\n3.0,1\n4.0,5.0,1\n")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"dataset_csv = {data}\nn_clients = 2\nrounds = 2\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"runtime: {data}: data row 2 has 2 columns, expected 3\n" in caplog.text
+        assert "usecols" not in caplog.text
+        assert not out.exists()
+
+    def test_rounds_jsonl_equals_the_per_client_encoding(self, tmp_path, monkeypatch):
+        # The writer used to encode vars(record) with one dict per client and
+        # round; 600 validation rows take two evaluation chunks.
+        from fedopt import metrics, orchestrator
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL.replace("n_per_class = 30", "n_per_class = 1000"))
+        cfg = parse_config(str(cfg))
+        per_round = []  # each round's global parameters and evaluated row count
+
+        def spy(model, x, y, *rest):
+            if rest:  # a per-round evaluation, not one of the fine-tune's
+                per_round.append((model.params.copy(), len(y)))
+            return metrics.evaluate(model, x, y, *rest)
+
+        monkeypatch.setattr(orchestrator, "evaluate", spy)
+        result = run_federated(cfg)
+        _write_outputs(tmp_path / "o", cfg, result)
+        assert len(per_round) == cfg.rounds and per_round[0][1] > metrics.EVAL_CHUNK
+        expect = "".join(
+            json.dumps({"round": r.round, "sampled": r.sampled,
+                        "client_metrics": reference_client_metrics(cfg, params),
+                        "optimized": r.optimized, "aggregation": r.aggregation},
+                       sort_keys=True, allow_nan=False) + "\n"
+            for r, (params, _) in zip(result.rounds, per_round))
+        assert (tmp_path / "o" / "rounds.jsonl").read_text() == expect
+
     def test_decaying_reward_fit_falls_back_and_stays_finite(self, tmp_path):
         # At this seed the reference fit decays toward 0. Used as the reward's
         # denominator it made the reward grow without bound, and the actor
@@ -320,8 +359,8 @@ class TestCmdRun:
 
     def test_outputs_reject_non_finite_values(self, tmp_path):
         cfg = ExperimentConfig()
-        record = RoundRecord(0, [0], [], {"reward": float("nan")}, "fedavg")
-        result = RunResult(np.zeros(3), {}, [record], [], None, [2, 2])
+        record = RoundRecord(0, [0], np.empty((0, 4)), [], {"reward": float("nan")}, "fedavg")
+        result = RunResult(np.zeros(3), {}, [record], np.empty((1, 0, 4)), [], [], None, [2, 2])
         with pytest.raises(ValueError):
             _write_outputs(tmp_path / "o", cfg, result)
         assert not (tmp_path / "o").exists()
@@ -437,6 +476,20 @@ class TestCmdPlotData:
         assert main(["plot-data", "--rounds", str(out / "rounds.jsonl"),
                      "--out", str(plots)]) == 3
         assert "config.resolved.cfg" in caplog.text
+        assert not plots.exists()
+
+    def test_old_run_config_exits_3_naming_it(self, small_config, tmp_path, caplog):
+        # A run written before the one `seed` key holds four seed keys.
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+        cfg = out / "config.resolved.cfg"
+        old = "seed_data = 0\nseed_init = 1\nseed_agent = 2\nseed_sampling = 3\n"
+        cfg.write_text(cfg.read_text().replace("seed = 0\n", old))
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--rounds", str(out / "rounds.jsonl"),
+                     "--out", str(plots)]) == 3
+        assert re.search(f"plot-data: {re.escape(str(cfg))}: line \\d+: unknown key 'seed_data'",
+                         caplog.text)
         assert not plots.exists()
 
     def test_malformed_input(self, tmp_path):

@@ -177,6 +177,7 @@ def test_load_csv(tmp_path):
     ("1.0,nan,0\n3.0,4.0,-1\n", r"data row 1: non-finite feature"),
     ("1.0,2.0,-1\n3.0,nan,1\n", r"data row 1: label -1.0 "),  # the first bad row of either kind
     ("0\n1\n1\n", r"no feature column"),
+    ("# x,y\n1.0,2.0,0\n\n3.0,4.0,1,7  # four\n", r"data row 2 has 4 columns, expected 3$"),
 ])
 def test_load_csv_rejects_bad_labels_and_empty_files(tmp_path, text, match):
     path = tmp_path / "bad.csv"

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from fedopt.agent import weighted_metric_action
 from fedopt.data import ClientPartition, dirichlet_partition, generate_synthetic, train_val_split
 from fedopt.nn import Mlp, forward
 from fedopt.orchestrator import (
+    METRICS,
     ExperimentConfig,
+    RoundRecord,
     _OptimizedClient,
     _derived_seed,
     client_local_train,
@@ -37,6 +42,41 @@ def _train_one(arch, w, x, y, epochs, batch_size, lr, rng, prox_mu=0.0, w_global
     (out,) = client_local_train(arch, w, x, y, epochs, batch_size, lr, [rng], [len(y)],
                                 prox_mu, w_global)
     return out
+
+
+def reference_client_metrics(cfg, params):
+    """A round's client_metrics from a per-client loop: one forward pass and one
+    confusion matrix per client with validation rows, one dict each."""
+    from fedopt.orchestrator import _derived_seed
+
+    ds = generate_synthetic(cfg.n_classes, cfg.n_per_class, cfg.feature_dim,
+                            cfg.spread, cfg.seed)
+    parts = [
+        train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed, 17, p.client_id))
+        for p in dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed)
+    ]
+    model = Mlp([cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes], params)
+    rows = []
+    for part in parts:
+        if len(part.val_indices) == 0:
+            continue
+        preds = forward(model, ds.features[part.val_indices]).argmax(axis=1)
+        cm = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
+        np.add.at(cm, (ds.labels[part.val_indices], preds), 1)
+        tp = np.diag(cm).astype(np.float64)
+        fp, fn = cm.sum(axis=0) - tp, cm.sum(axis=1) - tp
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+            r = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+            f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
+        rows.append({
+            "client": part.client_id,
+            "accuracy": float(np.trace(cm) / cm.sum()),
+            "precision": float(np.mean(p)),
+            "recall": float(np.mean(r)),
+            "f1": float(np.mean(f1)),
+        })
+    return rows
 
 
 class TestClientLocalTrain:
@@ -383,8 +423,42 @@ class TestRunFederated:
         cfg2 = small_cfg()
         r1 = run_federated(cfg1)
         r2 = run_federated(cfg2)
-        assert r1.rounds == r2.rounds
+        assert len(r1.rounds) == len(r2.rounds) == cfg1.rounds
+        for a, b in zip(r1.rounds, r2.rounds):
+            for f in dataclasses.fields(RoundRecord):  # == cannot compare the metrics arrays
+                np.testing.assert_equal(getattr(a, f.name), getattr(b, f.name), f.name)
+        np.testing.assert_array_equal(r1.metrics, r2.metrics)
+        assert r1.evaluated == r2.evaluated
         np.testing.assert_array_equal(r1.final_global, r2.final_global)
+
+    def test_round_records_view_the_result_metrics(self):
+        res = run_federated(small_cfg())
+        assert res.metrics.shape == (4, len(res.evaluated), len(METRICS))
+        for t, rec in enumerate(res.rounds):
+            assert np.shares_memory(rec.metrics, res.metrics) and rec.evaluated is res.evaluated
+            rows = rec.client_metrics
+            assert [m["client"] for m in rows] == res.evaluated
+            assert [[m[key] for key in METRICS] for m in rows] == res.metrics[t].tolist()
+
+    def test_result_keeps_each_client_round_as_four_floats(self):
+        # One dict per client and round held about 300 B; four float64s are 32 B,
+        # and every other field of the result is small next to client_params.
+        cfg = small_cfg(n_clients=120, c_ratio=0.1, rounds=5, n_per_class=1000,
+                        hidden_dims=[4], optimized_client=None)
+        tracemalloc.start()
+        try:
+            res = run_federated(cfg)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            client_rounds = res.metrics.shape[0] * res.metrics.shape[1]
+            params_bytes = sum(p.nbytes for p in res.client_params.values())
+            del res
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert client_rounds >= 500
+        assert retained < 100 * client_rounds + params_bytes
 
     def test_full_action_reduces_to_naive(self):
         opt = run_federated(small_cfg(action_strategy="full", optimized_client=0))
@@ -549,39 +623,6 @@ class TestRunFederated:
         res = run_federated(small_cfg(aggregation=strategy, rounds=3))
         assert len(res.rounds) == 3
 
-    @staticmethod
-    def _reference_metrics(cfg, params):
-        """Per-client loop: one forward pass and one confusion matrix per client."""
-        from fedopt.orchestrator import _derived_seed
-
-        ds = generate_synthetic(cfg.n_classes, cfg.n_per_class, cfg.feature_dim,
-                                cfg.spread, cfg.seed)
-        parts = [
-            train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed, 17, p.client_id))
-            for p in dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed)
-        ]
-        model = Mlp([cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes], params)
-        rows = []
-        for part in parts:
-            if len(part.val_indices) == 0:
-                continue
-            preds = forward(model, ds.features[part.val_indices]).argmax(axis=1)
-            cm = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
-            np.add.at(cm, (ds.labels[part.val_indices], preds), 1)
-            tp = np.diag(cm).astype(np.float64)
-            fp, fn = cm.sum(axis=0) - tp, cm.sum(axis=1) - tp
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-                r = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
-                f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
-            rows.append({
-                "client": part.client_id,
-                "accuracy": float(np.trace(cm) / cm.sum()),
-                "precision": float(np.mean(p)),
-                "recall": float(np.mean(r)),
-                "f1": float(np.mean(f1)),
-            })
-        return rows
 
     @pytest.mark.parametrize("overrides,n_reported", [
         # 12 clients at alpha 0.05: nine of them have no validation rows
@@ -597,7 +638,7 @@ class TestRunFederated:
         # the last round is evaluated with the final global parameters
         last = res.rounds[-1].client_metrics
         assert len(last) == n_reported
-        assert last == self._reference_metrics(cfg, res.final_global)
+        assert last == reference_client_metrics(cfg, res.final_global)
 
     def test_round_metrics_do_not_depend_on_chunk_size(self, monkeypatch):
         from fedopt import metrics
