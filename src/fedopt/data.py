@@ -148,7 +148,7 @@ def action_partition(p: ClientPartition, fractions: np.ndarray, seed: int) -> np
     fractions = np.asarray(fractions, dtype=np.float64)
     if len(fractions) != p.n_classes:
         raise ValueError("fractions length != class count")
-    if np.any(fractions <= 0.0) or np.any(fractions > 1.0):
+    if not np.all((fractions > 0.0) & (fractions <= 1.0)):  # NaN fails too
         raise ValueError(f"fractions outside (0, 1]: {fractions}")
     rng = np.random.default_rng(seed)
     kept = []

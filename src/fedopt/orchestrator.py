@@ -119,6 +119,10 @@ class RoundRecord:
     optimized: dict | None
     aggregation: str
 
+    def __eq__(self, other):  # the generated == would raise on the metrics array
+        return isinstance(other, RoundRecord) and np.array_equal(self.metrics, other.metrics) and (
+            {**vars(self), "metrics": None} == {**vars(other), "metrics": None})
+
     @property
     def client_metrics(self) -> list[dict]:
         """One dict per evaluated client, its id and METRICS, as rounds.jsonl holds them."""
@@ -170,7 +174,7 @@ def compute_performance_bound(
 def _require_finite(where: str, **values) -> None:
     """Stop a diverged run: every value must be finite."""
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
             raise ValueError(f"{where}: non-finite {name} (diverged)")
 
 
@@ -360,8 +364,7 @@ class _OptimizedClient:
             if fit.fit_valid:
                 est = estimate_loss(fit, t)
                 if est > FIT_FLOOR * l_local:
-                    l_est = est
-                    l_ref = est
+                    l_est = l_ref = est
         mu_a = float(np.mean(fractions))
         r = compute_reward(l_agg, l_ref, mu_a, cfg.reward)
         _require_finite(f"round {t}: client {part.client_id}", l_agg=l_agg, l_local=l_local,

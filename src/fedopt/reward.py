@@ -59,38 +59,35 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
         raise ValueError("need at least 3 history points")
     t = np.asarray(h.rounds, dtype=np.float64)
     y = np.asarray(h.losses, dtype=np.float64)
-    if np.all(y > 0):
-        sign = -1.0
-    elif np.all(y < 0):
-        sign = 1.0
-    else:
+    sign = -1.0 if np.all(y > 0) else 1.0
+    if not np.all(sign * y < 0):  # mixed signs, a zero or a NaN
         return ExpFit(fit_valid=False)
-    # An iterate that overflows cannot recover: the finiteness checks stop
-    # the fit before lstsq sees it.
+    # Rows 0-1 of one buffer hold the design matrix's, then the Jacobian's columns,
+    # row 2 the right-hand side; in-place fills keep each plain expression's grouping,
+    # so the iterates are the same bit for bit.
+    a0, a1, b = buf = np.array([np.ones_like(t), -t, np.log(np.abs(y))])
+    a = buf[:2].T
     with np.errstate(over="ignore", invalid="ignore"):
-        logy = np.log(np.abs(y))
-        design = np.column_stack([np.ones_like(t), -t])
-        coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
-        u = sign * np.exp(coef[0])
-        v = coef[1]
+        c0, v = np.linalg.lstsq(a, b, rcond=None)[0].tolist()
+        u = sign * float(np.exp(c0))
         for _ in range(max_iter):
-            e = np.exp(-v * t)
-            r = -u * e - y
-            jac = np.column_stack([-e, u * t * e])
-            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+            e = np.exp(np.multiply(-v, t, out=a0), out=a0)
+            np.multiply(np.multiply(u, t, out=a1), e, out=a1)
+            np.add(np.multiply(u, e, out=b), y, out=b)  # minus the residual -u*e - y
+            np.negative(e, out=a0)
+            if not np.isfinite(buf).all():  # an overflowed iterate cannot recover
                 return ExpFit(fit_valid=False)
             try:
-                step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+                du, dv = np.linalg.lstsq(a, b, rcond=None)[0].tolist()
             except np.linalg.LinAlgError:
                 return ExpFit(fit_valid=False)
-            u += step[0]
-            v += step[1]
-            if np.max(np.abs(step)) < 1e-12:
+            u, v = u + du, v + dv
+            if abs(du) < 1e-12 and abs(dv) < 1e-12:
                 break
         residual = float(np.linalg.norm(-u * np.exp(-v * t) - y))
     if not np.isfinite(residual):
         return ExpFit(fit_valid=False)
-    return ExpFit(float(u), float(v), True, residual)
+    return ExpFit(u, v, True, residual)
 
 
 def estimate_loss(f: ExpFit, t: float) -> float:

@@ -137,10 +137,10 @@ class TestActionPartition:
 
     def test_fraction_out_of_range(self):
         p = self._split_part()
-        with pytest.raises(ValueError):
-            action_partition(p, np.array([0.0, 1.0, 1.0]), seed=0)
-        with pytest.raises(ValueError):
-            action_partition(p, np.array([1.1, 1.0, 1.0]), seed=0)
+        # NaN used to pass both range checks and fail in int(floor(nan * count)).
+        for bad in (0.0, -0.0, 1.1, 1.5, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"fractions outside \(0, 1\]"):
+                action_partition(p, np.array([0.5, bad, 1.0]), seed=0)
 
     @given(f1=st.floats(0.05, 1.0), f2=st.floats(0.05, 1.0))
     @settings(max_examples=30, deadline=None)

@@ -14,9 +14,9 @@ from fedopt.nn import Mlp, forward
 from fedopt.orchestrator import (
     METRICS,
     ExperimentConfig,
-    RoundRecord,
     _OptimizedClient,
     _derived_seed,
+    _require_finite,
     client_local_train,
     compute_performance_bound,
     dataset_loss,
@@ -351,6 +351,15 @@ class TestOptimizedClient:
         assert sorted(calls) == [0, 0, 1, 2]  # each client, plus the optimized client once
 
 
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, np.float64(np.nan), np.float64(-np.inf),
+    np.array([0.5, np.nan]), np.array([[1.0], [np.inf]]),
+])
+def test_require_finite_names_the_non_finite_value(value):
+    with pytest.raises(ValueError, match=r"^round 3: client 1: non-finite reward \(diverged\)$"):
+        _require_finite("round 3: client 1", l_agg=0.5, reward=value, l_ref=1.0)
+
+
 class TestPerformanceBound:
     def test_equal_radii_zero_gap(self):
         z = np.array([0.3, 0.9])
@@ -425,11 +434,23 @@ class TestRunFederated:
         r2 = run_federated(cfg2)
         assert len(r1.rounds) == len(r2.rounds) == cfg1.rounds
         for a, b in zip(r1.rounds, r2.rounds):
-            for f in dataclasses.fields(RoundRecord):  # == cannot compare the metrics arrays
-                np.testing.assert_equal(getattr(a, f.name), getattr(b, f.name), f.name)
+            assert a == b
         np.testing.assert_array_equal(r1.metrics, r2.metrics)
         assert r1.evaluated == r2.evaluated
         np.testing.assert_array_equal(r1.final_global, r2.final_global)
+
+    def test_round_records_compare_by_value(self):
+        # Records with more than one evaluated client used to raise on ==.
+        r1, r2 = run_federated(small_cfg()), run_federated(small_cfg())
+        assert len(r1.evaluated) > 1
+        assert all(a == b and not a != b for a, b in zip(r1.rounds, r2.rounds))
+        rec = r2.rounds[-1]
+        changed = dataclasses.replace(rec, metrics=rec.metrics.copy())
+        changed.metrics[1, 3] = np.nextafter(changed.metrics[1, 3], 2.0)
+        assert changed != r1.rounds[-1] and r1.rounds[-1] != changed
+        assert dataclasses.replace(rec, aggregation="fedavgm") != r1.rounds[-1]
+        assert dataclasses.replace(rec, sampled=rec.sampled[:-1]) != r1.rounds[-1]
+        assert rec != rec.client_metrics
 
     def test_round_records_view_the_result_metrics(self):
         res = run_federated(small_cfg())

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedopt.reward import (
     DIV_GUARD,
@@ -81,6 +83,80 @@ class TestFitExponential:
         h = history_from([0, 1], [1.0, 0.9])
         with pytest.raises(ValueError):
             h.append(1, 0.8)
+
+
+def reference_fit_exponential(h, max_iter=50):
+    """fit_exponential as it was before its loop moved into one reused buffer."""
+    if len(h) < 3:
+        raise ValueError("need at least 3 history points")
+    t = np.asarray(h.rounds, dtype=np.float64)
+    y = np.asarray(h.losses, dtype=np.float64)
+    if np.all(y > 0):
+        sign = -1.0
+    elif np.all(y < 0):
+        sign = 1.0
+    else:
+        return ExpFit(fit_valid=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logy = np.log(np.abs(y))
+        design = np.column_stack([np.ones_like(t), -t])
+        coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
+        u = sign * np.exp(coef[0])
+        v = coef[1]
+        for _ in range(max_iter):
+            e = np.exp(-v * t)
+            r = -u * e - y
+            jac = np.column_stack([-e, u * t * e])
+            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+                return ExpFit(fit_valid=False)
+            try:
+                step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            except np.linalg.LinAlgError:
+                return ExpFit(fit_valid=False)
+            u += step[0]
+            v += step[1]
+            if np.max(np.abs(step)) < 1e-12:
+                break
+        residual = float(np.linalg.norm(-u * np.exp(-v * t) - y))
+    if not np.isfinite(residual):
+        return ExpFit(fit_valid=False)
+    return ExpFit(float(u), float(v), True, residual)
+
+
+LOSS_SHAPES = ("positive", "negative", "mixed", "flat", "growing", "wide")
+
+
+@st.composite
+def loss_histories(draw):
+    """Rounds with gaps and losses of one of LOSS_SHAPES."""
+    n = draw(st.integers(3, 400))
+    shape = draw(st.sampled_from(LOSS_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(0, 50)) + np.cumsum(rng.integers(1, 6, n)) - 1
+    scale = 10.0 ** rng.uniform(-3, 2)
+    noise = np.exp(rng.uniform(0, 0.5) * rng.standard_normal(n))
+    if shape == "flat":
+        y = np.full(n, scale)
+    elif shape == "growing":
+        y = scale * np.exp(rng.uniform(0, 0.05) * t) * noise
+    elif shape == "wide":
+        y = 10.0 ** rng.uniform(-300, 300, n)
+    else:
+        y = scale * np.exp(-rng.uniform(0, 0.5) * t) * noise
+    if shape == "mixed":
+        y[rng.integers(n)] *= -1
+    if shape == "negative" or (shape == "flat" and draw(st.booleans())):
+        y = -y
+    return LossHistory(t.tolist(), y.tolist())
+
+
+@given(h=loss_histories())
+@settings(max_examples=150, deadline=None)
+def test_fit_is_bit_identical_to_the_reference(h):
+    new, ref = fit_exponential(h), reference_fit_exponential(h)
+    # repr is exact for floats, keeps the sign of zero and makes NaN equal to NaN
+    assert [repr(getattr(new, f)) for f in ("u", "v", "fit_valid", "residual")] == [
+        repr(getattr(ref, f)) for f in ("u", "v", "fit_valid", "residual")]
 
 
 class TestEstimateLoss:
