@@ -32,7 +32,6 @@ class AgentConfig:
     b_u: float = 1.0
     buffer_capacity: int = 10_000
     batch_size: int = 32
-    n_step: int = 1
     hidden: int = 32
 
     def __post_init__(self):
@@ -41,8 +40,8 @@ class AgentConfig:
     def validate(self) -> None:
         if not (0.0 < self.b_l <= self.b_u <= 1.0):
             raise ValueError("need 0 < agent.b_l <= agent.b_u <= 1")
-        if self.eta < 1 or self.n_step < 1:
-            raise ValueError("need agent.eta >= 1 and agent.n_step >= 1")
+        if self.eta < 1:
+            raise ValueError("need agent.eta >= 1")
         if self.batch_size < 1 or self.hidden < 1:
             raise ValueError("need agent.batch_size >= 1 and agent.hidden >= 1")
         # A smaller FIFO never holds a minibatch, so the agent would never learn.
@@ -91,34 +90,16 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return min(self._pushes, self.capacity)
 
-    def sample_slices(self, batch_size: int, n_step: int, gamma: float):
-        """Sample up to `batch_size` distinct starts without replacement.
-
-        Each start i covers the transitions i, i+1, ... up to `n_step` of
-        them, stopping after a terminal one or at the newest. Returns the
-        stacked arrays (states, actions, returns, boot_states, terminal,
-        steps): the start's state and action, the gamma-discounted reward
-        sum, the last covered transition's next state and terminal flag,
-        and the number of transitions covered.
-        """
+    def sample(self, batch_size: int):
+        """Up to `batch_size` distinct transitions, drawn without replacement, as the
+        stacked arrays (states, actions, rewards, next_states, terminal 0.0/1.0)."""
         n = len(self)
         if n == 0:
             raise ValueError("empty replay buffer")
-        starts = self._rng.choice(n, size=min(batch_size, n), replace=False)
-        oldest = self._pushes - n
-        first = (oldest + starts) % self.capacity
-        returns, steps, last = np.zeros(len(starts)), np.zeros(len(starts)), first
-        alive = np.ones(len(starts), dtype=bool)
-        # One pass per window offset; adding term by term keeps the sum's order.
-        for k in range(n_step):
-            alive &= starts + k < n
-            slot = (oldest + np.minimum(starts + k, n - 1)) % self.capacity
-            returns = np.where(alive, returns + gamma**k * self._rewards[slot], returns)
-            last = np.where(alive, slot, last)
-            steps += alive
-            alive &= ~self._terminals[slot]
-        return (self._states[first], self._actions[first], returns, self._next_states[last],
-                self._terminals[last].astype(np.float64), steps)
+        picks = self._rng.choice(n, size=min(batch_size, n), replace=False)
+        slot = (self._pushes - n + picks) % self.capacity  # the i-th oldest is at pushes - n + i
+        return (self._states[slot], self._actions[slot], self._rewards[slot],
+                self._next_states[slot], self._terminals[slot].astype(np.float64))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -192,16 +173,16 @@ def epsilon_greedy_select(
 
 
 def critic_update(ac: ActorCritic, batch: tuple) -> float:
-    """One MSE step toward the n-step bootstrapped target; returns pre-step loss.
+    """One MSE step toward the one-step bootstrapped target; returns pre-step loss.
 
-    `batch` is the tuple returned by `ReplayBuffer.sample_slices`.
+    `batch` is the tuple returned by `ReplayBuffer.sample`.
     """
-    states, actions, returns, boot_states, terminal, steps = batch
+    states, actions, rewards, next_states, terminal = batch
     if len(states) == 0:
         raise ValueError("empty batch")
-    next_a = ac._act(ac.actor_target, boot_states)
-    q_next = forward(ac.critic_target, np.hstack([boot_states, next_a]))[:, 0]
-    target = returns + (ac.cfg.gamma**steps) * (1.0 - terminal) * q_next
+    next_a = ac._act(ac.actor_target, next_states)
+    q_next = forward(ac.critic_target, np.hstack([next_states, next_a]))[:, 0]
+    target = rewards + ac.cfg.gamma * (1.0 - terminal) * q_next
     acts: list = []
     q = forward(ac.critic, np.hstack([states, actions]), acts)[:, 0]
     err = q - target

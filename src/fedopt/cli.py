@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import ConfigError, emit_config, parse_config
 from .orchestrator import (
+    METRICS,
     ExperimentConfig,
     RunResult,
     compute_performance_bound,
@@ -65,33 +66,67 @@ def _per_round(rec: dict, opt_id: int | None, shown_id: int | None):
     return rec["round"], mean, next((m for m in rows if m["client"] == shown_id), None)
 
 
+class _FloatText(dict):
+    """json's text of each float, `float.__repr__`, formatted once per distinct value.
+    Float keys make 0.0 and -0.0 one key: safe, as a score is never -0.0."""
+
+    def __missing__(self, v: float) -> str:
+        self[v] = text = repr(v)
+        return text
+
+
+# Indices into the last axis of RunResult.metrics: a rounds.jsonl client
+# entry's scores in sorted key order, and summary.csv's columns.
+_JSON_ORDER = [METRICS.index(k) for k in ("accuracy", "f1", "precision", "recall")]
+_SUMMARY_ORDER = [METRICS.index(k) for k in ("precision", "recall", "accuracy")]
+
+
+def _bests(result: RunResult, opt_id: int | None) -> dict[str, list[float]]:
+    """summary.csv's rows: the best precision, recall and accuracy over the rounds
+    of the mean over every client but `opt_id`, and of `opt_id` itself, whose
+    accuracy includes the fine-tune's. Each mean runs along a contiguous client
+    axis, so it sums in the order np.mean of one round's list does."""
+    naive = [i for i, k in enumerate(result.evaluated) if k != opt_id]
+    if not naive:
+        raise ValueError("no naive client has metrics")
+    # (rounds, 3, naive clients), copied: the index result is not C-contiguous.
+    scores = np.ascontiguousarray(result.metrics[:, [naive], [[c] for c in _SUMMARY_ORDER]])
+    bests = {"naive_mean": scores.mean(axis=-1).max(axis=0, initial=0.0).tolist()}
+    if opt_id is not None:
+        row = result.metrics[:, result.evaluated.index(opt_id), _SUMMARY_ORDER]
+        p, r, a = row.max(axis=0, initial=0.0).tolist()
+        bests["optimized"] = [p, r, max([a, *(e["val_accuracy"] for e in result.finetune_trace)])]
+    return bests
+
+
 def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
     # Build every text before writing anything: a non-finite value raises here.
-    # A round's per-client dicts exist only while its line is built.
-    opt_id = cfg.optimized_client
-    best_naive = dict.fromkeys(("precision", "recall", "accuracy"), 0.0)
-    best_opt = dict(best_naive)
+    if not np.isfinite(result.metrics).all():
+        raise ValueError("non-finite client metrics")
+    # A rounds.jsonl line is the record's json.dumps(sort_keys=True): `line`
+    # holds the fixed texts, keys in sorted order, at its odd slots and one
+    # text per score between them. One join sizes the line exactly, where
+    # %-formatting a whole line regrows its buffer and raised the peak RSS.
+    template = ", ".join(
+        f'{{"accuracy": %s, "client": {k}, "f1": %s, "precision": %s, "recall": %s}}'
+        for k in result.evaluated)
+    line = [""] * (2 * template.count("%s") + 3)
+    line[1:-1:2] = template.split("%s")
+    text = _FloatText()
     lines = []
-    for r in result.rounds:
-        rec = {"round": r.round, "sampled": r.sampled, "client_metrics": r.client_metrics,
-               "optimized": r.optimized, "aggregation": r.aggregation}
-        lines.append(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
-        _, naive, row = _per_round(rec, opt_id, opt_id)
-        for key in best_naive:
-            best_naive[key] = max(best_naive[key], naive[key])
-            if row:
-                best_opt[key] = max(best_opt[key], row[key])
+    for r, m in zip(result.rounds, result.metrics):
+        line[0] = '{"aggregation": %s, "client_metrics": [' % json.dumps(r.aggregation)
+        line[2:-2:2] = map(text.__getitem__, m[:, _JSON_ORDER].ravel().tolist())
+        line[-1] = '], "optimized": %s, "round": %d, "sampled": %s}\n' % (
+            json.dumps(r.optimized, sort_keys=True, allow_nan=False), r.round,
+            json.dumps(r.sampled))
+        lines.append("".join(line))
     ft_text = "".join(
         json.dumps(e, sort_keys=True, allow_nan=False) + "\n" for e in result.finetune_trace
     )
-    for e in result.finetune_trace:
-        best_opt["accuracy"] = max(best_opt["accuracy"], e["val_accuracy"])
-    bests = {"naive_mean": best_naive}
-    if opt_id is not None:
-        bests["optimized"] = best_opt
     summary = _csv("label,precision,recall,accuracy", (
-        f"{label},{b['precision']:.6f},{b['recall']:.6f},{b['accuracy']:.6f}"
-        for label, b in bests.items()))
+        f"{label},{p:.6f},{r:.6f},{a:.6f}"
+        for label, (p, r, a) in _bests(result, cfg.optimized_client).items()))
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "config.resolved.cfg", emit_config(cfg))
     _atomic_write(out_dir / "rounds.jsonl", *lines)

@@ -73,8 +73,10 @@ def forward(model: Mlp, x: np.ndarray, acts: list | None = None) -> np.ndarray:
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        h = z if i == last else np.maximum(z, 0.0)
+        h = h @ w  # a new array, so the bias and ReLU can work in place
+        h += b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return h
 

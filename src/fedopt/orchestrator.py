@@ -315,7 +315,7 @@ class _OptimizedClient:
         cfg = self.cfg.agent
         if len(self.buffer) < cfg.batch_size:
             return
-        batch = self.buffer.sample_slices(cfg.batch_size, cfg.n_step, cfg.gamma)
+        batch = self.buffer.sample(cfg.batch_size)
         agent_mod.critic_update(self.ac, batch)
         agent_mod.actor_update(self.ac, batch[0])
         agent_mod.soft_update(self.ac)

@@ -29,7 +29,7 @@ def make_ac(n_classes=3, seed=0, **overrides):
 
 
 def random_batch(n, n_classes, seed=0, terminal=False):
-    """One-step batch as `ReplayBuffer.sample_slices` stacks it."""
+    """Batch as `ReplayBuffer.sample` stacks it."""
     rng = np.random.default_rng(seed)
     rows = [
         (rng.uniform(0, 1, n_classes), rng.uniform(0.1, 1.0, n_classes), rng.normal(),
@@ -37,7 +37,7 @@ def random_batch(n, n_classes, seed=0, terminal=False):
         for _ in range(n)
     ]
     states, actions, rewards, next_states = (np.array(col) for col in zip(*rows))
-    return states, actions, rewards, next_states, np.full(n, float(terminal)), np.ones(n)
+    return states, actions, rewards, next_states, np.full(n, float(terminal))
 
 
 def empty_batch(n_classes=3):
@@ -300,8 +300,7 @@ class TestSoftUpdate:
 
 class _ListBuffer:
     """Reference replay buffer for the ring: a list of (state, action,
-    reward, next_state, terminal) tuples with `pop(0)` eviction, and a
-    Python walk over each start's n-step window."""
+    reward, next_state, terminal) tuples with `pop(0)` eviction."""
 
     def __init__(self, capacity, seed=0):
         self.capacity = capacity
@@ -313,34 +312,17 @@ class _ListBuffer:
         if len(self._items) > self.capacity:
             self._items.pop(0)
 
-    def sample_slices(self, batch_size, n_step, gamma):
+    def sample(self, batch_size):
         n = len(self._items)
-        starts = self._rng.choice(n, size=min(batch_size, n), replace=False)
-        returns, boots, terminal, steps = [], [], [], []
-        for i in starts:
-            g, k, last = 0.0, 0, self._items[i]
-            for last in self._items[i : i + n_step]:
-                g += gamma**k * last[2]
-                k += 1
-                if last[4]:
-                    break
-            returns.append(g)
-            boots.append(last[3])
-            terminal.append(last[4])
-            steps.append(k)
+        picked = [self._items[i]
+                  for i in self._rng.choice(n, size=min(batch_size, n), replace=False)]
         return (
-            np.stack([self._items[i][0] for i in starts]),
-            np.stack([self._items[i][1] for i in starts]),
-            np.array(returns),
-            np.stack(boots),
-            np.array(terminal, dtype=np.float64),
-            np.array(steps, dtype=np.float64),
+            np.stack([tr[0] for tr in picked]),
+            np.stack([tr[1] for tr in picked]),
+            np.array([tr[2] for tr in picked]),
+            np.stack([tr[3] for tr in picked]),
+            np.array([tr[4] for tr in picked], dtype=np.float64),
         )
-
-
-def push_counter(buf, i, terminal):
-    """Transition i: state [i], action [1], reward 1, next state [i + 1]."""
-    buf.push(np.array([float(i)]), np.ones(1), 1.0, np.array([i + 1.0]), terminal)
 
 
 class TestReplayBuffer:
@@ -351,14 +333,13 @@ class TestReplayBuffer:
         buf = ReplayBuffer(cap, 1, seed=0)
         pushed = []
         for tag in ops:
-            buf.push(np.array([float(tag)]), np.ones(1), 0.0, np.zeros(1), False)
+            # The reward is the push's index: it orders what the buffer kept.
+            buf.push(np.array([float(tag)]), np.ones(1), float(len(pushed)), np.zeros(1), False)
             pushed.append(tag)
             assert len(buf) == min(len(pushed), cap)
-            # With no terminal, a window of `cap` steps from the i-th oldest
-            # start covers len(buf) - i transitions: that orders the starts.
-            states, *_, steps = buf.sample_slices(cap, cap, 0.5)
-            assert sorted(steps) == list(range(1, len(buf) + 1))
-            kept = states[np.argsort(-steps), 0]
+            states, _, rewards, *_ = buf.sample(cap)
+            assert sorted(rewards) == list(range(len(pushed) - len(buf), len(pushed)))
+            kept = states[np.argsort(rewards), 0]
             assert kept.tolist() == [float(x) for x in pushed[-cap:]]
 
     def test_sample_deterministic_per_seed(self):
@@ -366,80 +347,41 @@ class TestReplayBuffer:
             buf = ReplayBuffer(50, 1, seed=seed)
             for i in range(20):
                 buf.push(np.array([float(i)]), np.ones(1), 0.0, np.zeros(1), False)
-            return buf.sample_slices(8, 1, 0.9)[0][:, 0].tolist()
+            return buf.sample(8)[0][:, 0].tolist()
 
         assert fill(3) == fill(3)
-        assert len(set(fill(3))) == 8  # distinct starts
+        assert len(set(fill(3))) == 8  # distinct transitions
 
     def test_sample_empty(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(5, 1).sample_slices(1, 1, 0.9)
+            ReplayBuffer(5, 1).sample(1)
 
     def test_one_step_slices_are_the_stored_transitions(self):
         buf = ReplayBuffer(50, 2, seed=1)
         for i in range(12):
             buf.push(np.array([float(i), 0.5]), np.full(2, i / 20), i - 5.5,
                      np.array([i + 1.0, 0.5]), i == 4)
-        states, actions, returns, boots, terminal, steps = buf.sample_slices(32, 1, 0.9)
-        assert states.shape == (12, 2) and actions.shape == (12, 2) and boots.shape == (12, 2)
+        states, actions, rewards, next_states, terminal = buf.sample(32)
+        assert states.shape == (12, 2) and actions.shape == (12, 2)
+        assert next_states.shape == (12, 2) and terminal.dtype == np.float64
         assert sorted(states[:, 0]) == list(range(12))
-        for s, a, g, ns, term, k in zip(states, actions, returns, boots, terminal, steps):
+        for s, a, g, ns, term in zip(states, actions, rewards, next_states, terminal):
             i = int(s[0])
             assert (a == i / 20).all() and (ns == [i + 1.0, 0.5]).all()
-            assert g == i - 5.5 and term == float(i == 4) and k == 1.0
+            assert g == i - 5.5 and term == float(i == 4)
 
-    def test_nstep_slices_stop_at_terminal(self):
-        buf = ReplayBuffer(10, 1, seed=0)
-        for i in range(5):
-            push_counter(buf, i, i == 2)
-        slices = buf.sample_slices(5, n_step=3, gamma=0.5)
-        for s, a, g, ns, term, steps in zip(*slices):
-            start = int(s[0])
-            assert steps <= 3
-            if start <= 2:
-                assert steps <= 3 - start or steps == 3
-
-    def test_nstep_slices_hand_values(self):
-        # rewards 1, gamma 0.5, transition 2 terminal, 5 transitions
-        buf = ReplayBuffer(10, 1, seed=0)
-        for i in range(5):
-            push_counter(buf, i, i == 2)
-        states, _, returns, boots, terminal, steps = buf.sample_slices(5, n_step=3, gamma=0.5)
-        expected = {  # start -> (return, bootstrap state, terminal, steps)
-            0: (1.75, 3.0, 1.0, 3.0), 1: (1.5, 3.0, 1.0, 2.0), 2: (1.0, 3.0, 1.0, 1.0),
-            3: (1.5, 5.0, 0.0, 2.0), 4: (1.0, 5.0, 0.0, 1.0),
-        }
-        got = {int(s[0]): (g, b[0], t, k) for s, g, b, t, k in
-               zip(states, returns, boots, terminal, steps)}
-        assert got == expected
-
-    def test_nstep_slices_across_the_wrap(self):
-        # capacity 4 after 7 pushes keeps transitions 3..6, stored in slots
-        # 3, 0, 1, 2; transition 4 is terminal
-        buf = ReplayBuffer(4, 1, seed=0)
-        for i in range(7):
-            push_counter(buf, i, i == 4)
-        states, _, returns, boots, terminal, steps = buf.sample_slices(4, n_step=3, gamma=0.5)
-        expected = {
-            3: (1.5, 5.0, 1.0, 2.0), 4: (1.0, 5.0, 1.0, 1.0),
-            5: (1.5, 7.0, 0.0, 2.0), 6: (1.0, 7.0, 0.0, 1.0),
-        }
-        got = {int(s[0]): (g, b[0], t, k) for s, g, b, t, k in
-               zip(states, returns, boots, terminal, steps)}
-        assert got == expected
-
-    @pytest.mark.parametrize("capacity,n_step", [(10_000, 1), (50, 1), (30, 3), (7, 4)])
-    def test_ring_matches_list_buffer(self, capacity, n_step):
+    @pytest.mark.parametrize("capacity", [10_000, 50])
+    def test_ring_matches_list_buffer(self, capacity):
         ring, oracle = ReplayBuffer(capacity, 3, seed=5), _ListBuffer(capacity, seed=5)
-        rng = np.random.default_rng(capacity + n_step)
+        rng = np.random.default_rng(capacity + 1)
         for i in range(400):
             transition = (rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
                           rng.uniform(0, 1, 3), bool(rng.random() < 0.15))
             ring.push(*transition)
             oracle.push(*transition)
             assert len(ring) == len(oracle._items)
-            got = ring.sample_slices(8, n_step, 0.9)
-            want = oracle.sample_slices(8, n_step, 0.9)
+            got = ring.sample(8)
+            want = oracle.sample(8)
             for g, w in zip(got, want, strict=True):
                 assert g.dtype == w.dtype and np.array_equal(g, w), i
 
@@ -447,8 +389,7 @@ class TestReplayBuffer:
 class _CopyingReference:
     """The agent update as a copying loop: every step rebinds each network
     to a new Mlp over a new vector, the one-step batch is a list of
-    (state, action, reward, next_state, terminal) tuples stacked per field,
-    and n-step slices are built as a list of tuples."""
+    (state, action, reward, next_state, terminal) tuples stacked per field."""
 
     def __init__(self, ac, items, rng, cfg):
         self.ac, self.items, self.rng, self.cfg = ac, items, rng, cfg
@@ -458,38 +399,18 @@ class _CopyingReference:
         return self.rng.choice(n, size=min(self.cfg.batch_size, n), replace=False)
 
     def batch(self):
-        cfg, items = self.cfg, self.items
-        starts = self.sample()
-        if cfg.n_step == 1:
-            batch = [items[i] for i in starts]
-            return (np.stack([tr[0] for tr in batch]), np.stack([tr[1] for tr in batch]),
-                    np.array([tr[2] for tr in batch]),
-                    np.stack([tr[3] for tr in batch]),
-                    np.array([tr[4] for tr in batch], dtype=np.float64),
-                    np.ones(len(batch)))
-        slices = []
-        for i in starts:
-            g, steps, last = 0.0, 0, items[i]
-            for k in range(cfg.n_step):
-                if i + k >= len(items):
-                    break
-                last = items[i + k]
-                g += cfg.gamma**k * last[2]
-                steps += 1
-                if last[4]:
-                    break
-            slices.append((items[i][0], items[i][1], g, last[3], last[4], steps))
-        return (np.stack([sl[0] for sl in slices]), np.stack([sl[1] for sl in slices]),
-                np.array([sl[2] for sl in slices]), np.stack([sl[3] for sl in slices]),
-                np.array([sl[4] for sl in slices], dtype=np.float64),
-                np.array([sl[5] for sl in slices], dtype=np.float64))
+        batch = [self.items[i] for i in self.sample()]
+        return (np.stack([tr[0] for tr in batch]), np.stack([tr[1] for tr in batch]),
+                np.array([tr[2] for tr in batch]),
+                np.stack([tr[3] for tr in batch]),
+                np.array([tr[4] for tr in batch], dtype=np.float64))
 
     def learn(self):
         ac, cfg = self.ac, self.cfg
-        states, actions, returns, boots, terminal, steps = self.batch()
-        next_a = ac._act(ac.actor_target, boots)
-        q_next = forward(ac.critic_target, np.hstack([boots, next_a]))[:, 0]
-        target = returns + (cfg.gamma**steps) * (1.0 - terminal) * q_next
+        states, actions, rewards, next_states, terminal = self.batch()
+        next_a = ac._act(ac.actor_target, next_states)
+        q_next = forward(ac.critic_target, np.hstack([next_states, next_a]))[:, 0]
+        target = rewards + cfg.gamma * (1.0 - terminal) * q_next
         critic_acts = []
         err = forward(ac.critic, np.hstack([states, actions]), critic_acts)[:, 0] - target
         grads, _ = reference_backward(ac.critic, critic_acts, (2.0 * err / len(err))[:, None])
@@ -512,10 +433,9 @@ class _CopyingReference:
         )
 
 
-@pytest.mark.parametrize("n_step", [1, 3])
-def test_learn_matches_copying_reference(n_step):
+def test_learn_matches_copying_reference():
     cfg = ExperimentConfig(n_classes=3, seed=2)
-    cfg.agent = AgentConfig(n_step=n_step, batch_size=8, buffer_capacity=30, hidden=6,
+    cfg.agent = AgentConfig(batch_size=8, buffer_capacity=30, hidden=6,
                             actor_lr=0.05, critic_lr=0.05, soft_update_tau=0.1)
     part = ClientPartition(0, 3, [np.array([c]) for c in range(3)], np.array([3]))
     opt = _OptimizedClient(cfg, [5, 4, 3], part, np.zeros((4, 5)), np.array([0, 1, 2, 0]))

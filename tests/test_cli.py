@@ -13,7 +13,7 @@ import pytest
 
 import fedopt
 
-from fedopt.cli import _atomic_write, _write_outputs, main
+from fedopt.cli import _atomic_write, _bests, _per_round, _write_outputs, main
 from fedopt.config import ConfigError, emit_config, parse_config
 from fedopt.orchestrator import ExperimentConfig, RoundRecord, RunResult, run_federated
 from tests.test_orchestrator import reference_client_metrics
@@ -364,6 +364,63 @@ class TestCmdRun:
         with pytest.raises(ValueError):
             _write_outputs(tmp_path / "o", cfg, result)
         assert not (tmp_path / "o").exists()
+
+    def test_non_finite_score_writes_no_file(self, small_config, tmp_path):
+        cfg = parse_config(str(small_config))
+        result = run_federated(cfg)
+        result.metrics[1, 0, 2] = np.nan  # a recall; round 1's record holds a view of it
+        with pytest.raises(ValueError, match="non-finite"):
+            _write_outputs(tmp_path / "o", cfg, result)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text,seed,naive_all", [
+        # 20 clients: a round's naive mean is over more than 8 clients, where
+        # numpy's pairwise summation starts.
+        ("n_clients = 20\nrounds = 4\nn_per_class = 60\naggregation = fedprox\n", None, False),
+        ("n_clients = 20\nrounds = 4\nn_per_class = 60\naggregation = fedprox\n", None, True),
+        # Client 0 is never sampled at this seed.
+        ("n_clients = 10\nc_ratio = 0.1\nrounds = 3\nn_per_class = 50\n", 1, False),
+    ], ids=["many_naive", "naive_all", "optimized_never_sampled"])
+    def test_writer_equals_the_per_record_oracle(self, tmp_path, text, seed, naive_all):
+        # rounds.jsonl must be the json.dumps of each record's per-client
+        # dicts, and summary.csv's floats the maxima of _per_round over the
+        # records read back from it, as the writer once computed them.
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        cfg = parse_config(str(path))
+        cfg.seed = cfg.seed if seed is None else seed
+        if naive_all:
+            cfg.optimized_client = None
+        result = run_federated(cfg)
+        out = tmp_path / "o"
+        _write_outputs(out, cfg, result)
+        assert (out / "rounds.jsonl").read_text() == "".join(
+            json.dumps({"round": r.round, "sampled": r.sampled, "client_metrics": r.client_metrics,
+                        "optimized": r.optimized, "aggregation": r.aggregation},
+                       sort_keys=True, allow_nan=False) + "\n"
+            for r in result.rounds)
+
+        opt_id = cfg.optimized_client
+        keys = ("precision", "recall", "accuracy")
+        naive_best, opt_best = [0.0] * 3, [0.0] * 3
+        records = strict_json_lines(out / "rounds.jsonl")
+        for rec in records:
+            _, naive, row = _per_round(rec, opt_id, opt_id)
+            naive_best = [max(b, naive[k]) for b, k in zip(naive_best, keys)]
+            if row:
+                opt_best = [max(b, row[k]) for b, k in zip(opt_best, keys)]
+        for e in strict_json_lines(out / "finetune.jsonl"):
+            opt_best[2] = max(opt_best[2], e["val_accuracy"])
+        want = {"naive_mean": naive_best}
+        if opt_id is not None:
+            want["optimized"] = opt_best
+        assert _bests(result, opt_id) == want
+        assert (out / "summary.csv").read_text().splitlines()[1:] == [
+            f"{label},{p:.6f},{r:.6f},{a:.6f}" for label, (p, r, a) in want.items()]
+
+        n_naive = sum(m["client"] != opt_id for m in records[0]["client_metrics"])
+        sampled_0 = any(0 in rec["sampled"] for rec in records)
+        assert (n_naive > 8) if seed is None else not (sampled_0 or records[0]["optimized"])
 
     def test_optimized_client_without_training_rows_exits_3_naming_it(self, tmp_path, caplog):
         cfg = tmp_path / "sparse.cfg"

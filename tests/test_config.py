@@ -30,7 +30,7 @@ EMITTED_KEYS = [
     "agent.gamma", "agent.actor_lr", "agent.critic_lr", "agent.soft_update_tau",
     "agent.epsilon_start", "agent.epsilon_end", "agent.epsilon_decay", "agent.eta",
     "agent.b_l", "agent.b_u", "agent.buffer_capacity", "agent.batch_size",
-    "agent.n_step", "agent.hidden",
+    "agent.hidden",
     "reward.tau", "reward.lambda",
 ]
 

@@ -114,6 +114,27 @@ class TestForward:
         assert np.array_equal(acts[0], x) and np.array_equal(acts[1], hidden)
         assert acts[2] is logits
 
+    @pytest.mark.parametrize("dims", [[3, 1, 2], [16, 32, 4], [2, 3, 4, 2], [5, 3]])
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)])
+    def test_in_place_layers_equal_the_allocating_form_bit_for_bit(self, dims, lead):
+        # forward adds the bias and applies ReLU in place; the reference makes
+        # a new array for each operation, as forward once did.
+        rng = np.random.default_rng(len(dims) * 10 + len(lead))
+        n = Mlp(dims).params.size
+        m = Mlp(dims, rng.normal(size=(*lead, n)))  # random biases too
+        x = rng.normal(size=(*lead, 512, dims[0]))
+        x[..., 0, :] = 0.0  # a row whose pre-activations are the biases alone
+        want = [x]
+        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+            z = want[-1] @ w + b
+            want.append(z if i == len(m.weights) - 1 else np.maximum(z, 0.0))
+        acts = []
+        forward(m, x, acts)
+        assert len(acts) == len(want)
+        for got, ref in zip(acts, want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
     def test_reused_acts_holds_only_the_latest_pass(self):
         rng = np.random.default_rng(6)
         deep, shallow = Mlp.init_glorot([3, 4, 5, 2], rng), Mlp.init_glorot([3, 2], rng)

@@ -335,7 +335,7 @@ class TestOptimizedClient:
         assert len(opt.buffer) == 0 and opt.pending is not None
         best, trace = opt.finish(w)
         assert len(opt.buffer) == 1 and opt.pending is None
-        assert opt.buffer.sample_slices(1, 1, 0.9)[4][0] == 1.0  # terminal
+        assert opt.buffer.sample(1)[4][0] == 1.0  # terminal
         want = post_fl_finetune(self.ARCH, w, opt.x[:12], opt.y[:12], opt.x[12:], opt.y[12:],
                                 cfg.batch_size, cfg.lr, cfg.finetune_patience,
                                 cfg.finetune_max_epochs,
