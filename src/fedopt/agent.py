@@ -26,16 +26,11 @@ class AgentConfig:
     soft_update_tau: float = 0.005
     epsilon_start: float = 1.0
     epsilon_end: float = 0.1
-    epsilon_decay: float | None = None  # per round; None -> (start-end)/(T/2)
     eta: int = 5
     b_l: float = 0.1
     b_u: float = 1.0
-    buffer_capacity: int = 10_000
     batch_size: int = 32
     hidden: int = 32
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         if not (0.0 < self.b_l <= self.b_u <= 1.0):
@@ -44,35 +39,28 @@ class AgentConfig:
             raise ValueError("need agent.eta >= 1")
         if self.batch_size < 1 or self.hidden < 1:
             raise ValueError("need agent.batch_size >= 1 and agent.hidden >= 1")
-        # A smaller FIFO never holds a minibatch, so the agent would never learn.
-        if self.buffer_capacity < self.batch_size:
-            raise ValueError("agent.buffer_capacity must be >= agent.batch_size")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("agent.gamma outside (0, 1)")
         if not (0.0 < self.soft_update_tau <= 1.0):
             raise ValueError("agent.soft_update_tau outside (0, 1]")
         if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
             raise ValueError("need 0 <= agent.epsilon_end <= agent.epsilon_start <= 1")
-        # A negative decay would make epsilon climb past 1.
-        if not (self.epsilon_decay is None or self.epsilon_decay >= 0.0):
-            raise ValueError("agent.epsilon_decay must be none or >= 0")
         # Zero rates are allowed: they freeze the agent (an ablation).
         if not (self.actor_lr >= 0.0 and self.critic_lr >= 0.0):
             raise ValueError("need agent.actor_lr >= 0 and agent.critic_lr >= 0")
 
     def epsilon_at(self, t: int, horizon: int) -> float:
-        decay = self.epsilon_decay
-        if decay is None:
-            decay = (self.epsilon_start - self.epsilon_end) / max(1, horizon // 2)
+        """Epsilon in round t of a `horizon`-round run: linear from epsilon_start at
+        round 0 to epsilon_end at round horizon // 2 (round 1 if that is 0), then flat."""
+        decay = (self.epsilon_start - self.epsilon_end) / max(1, horizon // 2)
         return max(self.epsilon_end, self.epsilon_start - decay * t)
 
 
 class ReplayBuffer:
-    """Bounded FIFO store of transitions in trajectory order, kept in ring
-    arrays: the p-th push goes to slot p % capacity."""
+    """Append-only store of up to `capacity` transitions in push order: the
+    p-th push goes to slot p."""
 
     def __init__(self, capacity: int, dim: int, seed: int = 0):
-        self.capacity = capacity
         self._states = np.empty((capacity, dim))
         self._actions = np.empty((capacity, dim))
         self._rewards = np.empty(capacity)
@@ -82,13 +70,13 @@ class ReplayBuffer:
         self._rng = np.random.default_rng(seed)
 
     def push(self, state, action, reward: float, next_state, terminal: bool) -> None:
-        slot = self._pushes % self.capacity
-        self._states[slot], self._actions[slot], self._rewards[slot] = state, action, reward
-        self._next_states[slot], self._terminals[slot] = next_state, terminal
+        p = self._pushes
+        self._states[p], self._actions[p], self._rewards[p] = state, action, reward
+        self._next_states[p], self._terminals[p] = next_state, terminal
         self._pushes += 1
 
     def __len__(self) -> int:
-        return min(self._pushes, self.capacity)
+        return self._pushes
 
     def sample(self, batch_size: int):
         """Up to `batch_size` distinct transitions, drawn without replacement, as the
@@ -97,9 +85,8 @@ class ReplayBuffer:
         if n == 0:
             raise ValueError("empty replay buffer")
         picks = self._rng.choice(n, size=min(batch_size, n), replace=False)
-        slot = (self._pushes - n + picks) % self.capacity  # the i-th oldest is at pushes - n + i
-        return (self._states[slot], self._actions[slot], self._rewards[slot],
-                self._next_states[slot], self._terminals[slot].astype(np.float64))
+        return (self._states[picks], self._actions[picks], self._rewards[picks],
+                self._next_states[picks], self._terminals[picks].astype(np.float64))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -138,8 +138,6 @@ class RunResult:
     metrics: np.ndarray  # (rounds, len(evaluated), len(METRICS)) float64
     evaluated: list[int]  # the ids of the clients with validation rows
     finetune_trace: list[dict]
-    finetuned_params: np.ndarray | None
-    arch: list[int]
 
 
 def sample_clients(n_clients: int, c_ratio: float, rng: np.random.Generator) -> list[int]:
@@ -295,9 +293,8 @@ class _OptimizedClient:
         idx = part.all_train_indices()
         self.xt, self.yt = x[idx], y[idx]
         self.ac = ActorCritic(arch[-1], cfg.agent, np.random.default_rng(cfg.seed + 2))
-        # A run pushes at most one transition a round, so a larger ring stays empty.
-        self.buffer = ReplayBuffer(min(cfg.agent.buffer_capacity, cfg.rounds), arch[-1],
-                                   _derived_seed(cfg.seed + 2, 1))
+        # A run pushes at most one transition a round.
+        self.buffer = ReplayBuffer(cfg.rounds, arch[-1], _derived_seed(cfg.seed + 2, 1))
         self.rng = np.random.default_rng(_derived_seed(cfg.seed + 2, 2))
         self.history = LossHistory()
         self.states: list[np.ndarray] = []  # the state of each round in history.rounds
@@ -479,6 +476,6 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         records.append(RoundRecord(t, sampled, metrics[t], evaluated, opt_fragment,
                                    cfg.aggregation))
 
-    finetuned, finetune_trace = (None, []) if opt is None else opt.finish(server.global_params)
+    finetune_trace = [] if opt is None else opt.finish(server.global_params)[1]
     return RunResult(server.global_params, client_params, records, metrics, evaluated,
-                     finetune_trace, finetuned, arch)
+                     finetune_trace)

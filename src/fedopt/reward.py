@@ -18,16 +18,12 @@ class ExpFit:
     u: float = 0.0
     v: float = 0.0
     fit_valid: bool = False
-    residual: float = float("inf")
 
 
 @dataclass
 class RewardConfig:
     tau: int = 10
     lam: float = 0.25
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         if self.tau < 1:
@@ -84,10 +80,9 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
             u, v = u + du, v + dv
             if abs(du) < 1e-12 and abs(dv) < 1e-12:
                 break
-        residual = float(np.linalg.norm(-u * np.exp(-v * t) - y))
-    if not np.isfinite(residual):
-        return ExpFit(fit_valid=False)
-    return ExpFit(u, v, True, residual)
+        if not np.isfinite(np.linalg.norm(-u * np.exp(-v * t) - y)):  # the final fit overflowed
+            return ExpFit(fit_valid=False)
+    return ExpFit(u, v, True)
 
 
 def estimate_loss(f: ExpFit, t: float) -> float:

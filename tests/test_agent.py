@@ -2,8 +2,6 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedopt.agent import (
     ActorCritic,
@@ -42,6 +40,22 @@ def random_batch(n, n_classes, seed=0, terminal=False):
 
 def empty_batch(n_classes=3):
     return tuple(a[:0] for a in random_batch(1, n_classes))
+
+
+class TestEpsilonAt:
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 30, 101])
+    def test_linear_to_epsilon_end_at_half_the_run_then_flat(self, horizon):
+        cfg = AgentConfig(epsilon_start=0.9, epsilon_end=0.2)
+        half = max(1, horizon // 2)  # a 1-round run decays over one round
+        eps = [cfg.epsilon_at(t, horizon) for t in range(2 * horizon + 2)]
+        assert eps[0] == 0.9
+        assert all(a > b for a, b in zip(eps[:half], eps[1 : half + 1]))
+        assert eps[half] == pytest.approx(0.2, abs=1e-15)
+        assert all(e == 0.2 for e in eps[half + 1 :])
+
+    def test_equal_ends_stay_constant(self):
+        cfg = AgentConfig(epsilon_start=0.3, epsilon_end=0.3)
+        assert [cfg.epsilon_at(t, 10) for t in range(12)] == [0.3] * 12
 
 
 class TestPolicyAction:
@@ -285,7 +299,7 @@ class TestSoftUpdate:
     def test_bad_tau(self):
         # soft_update reads agent.soft_update_tau, whose range the config checks.
         with pytest.raises(ValueError, match="soft_update_tau"):
-            make_ac(soft_update_tau=0.0)
+            AgentConfig(soft_update_tau=0.0).validate()
 
     def test_updates_targets_in_place(self):
         ac = make_ac(seed=17, soft_update_tau=0.5)
@@ -299,18 +313,15 @@ class TestSoftUpdate:
 
 
 class _ListBuffer:
-    """Reference replay buffer for the ring: a list of (state, action,
-    reward, next_state, terminal) tuples with `pop(0)` eviction."""
+    """Reference replay buffer: a list of (state, action, reward, next_state,
+    terminal) tuples."""
 
-    def __init__(self, capacity, seed=0):
-        self.capacity = capacity
+    def __init__(self, seed=0):
         self._items = []
         self._rng = np.random.default_rng(seed)
 
     def push(self, state, action, reward, next_state, terminal):
         self._items.append((state, action, reward, next_state, terminal))
-        if len(self._items) > self.capacity:
-            self._items.pop(0)
 
     def sample(self, batch_size):
         n = len(self._items)
@@ -326,22 +337,6 @@ class _ListBuffer:
 
 
 class TestReplayBuffer:
-    @given(ops=st.lists(st.integers(0, 99), min_size=1, max_size=60))
-    @settings(max_examples=50, deadline=None)
-    def test_fifo_and_capacity(self, ops):
-        cap = 10
-        buf = ReplayBuffer(cap, 1, seed=0)
-        pushed = []
-        for tag in ops:
-            # The reward is the push's index: it orders what the buffer kept.
-            buf.push(np.array([float(tag)]), np.ones(1), float(len(pushed)), np.zeros(1), False)
-            pushed.append(tag)
-            assert len(buf) == min(len(pushed), cap)
-            states, _, rewards, *_ = buf.sample(cap)
-            assert sorted(rewards) == list(range(len(pushed) - len(buf), len(pushed)))
-            kept = states[np.argsort(rewards), 0]
-            assert kept.tolist() == [float(x) for x in pushed[-cap:]]
-
     def test_sample_deterministic_per_seed(self):
         def fill(seed):
             buf = ReplayBuffer(50, 1, seed=seed)
@@ -351,6 +346,16 @@ class TestReplayBuffer:
 
         assert fill(3) == fill(3)
         assert len(set(fill(3))) == 8  # distinct transitions
+
+    def test_push_past_capacity_raises(self):
+        # Append-only: nothing is overwritten, so a run that pushed more than
+        # one transition a round would fail loudly.
+        buf = ReplayBuffer(2, 1)
+        for _ in range(2):
+            buf.push(np.zeros(1), np.ones(1), 0.0, np.zeros(1), False)
+        with pytest.raises(IndexError):
+            buf.push(np.zeros(1), np.ones(1), 0.0, np.zeros(1), False)
+        assert len(buf) == 2
 
     def test_sample_empty(self):
         with pytest.raises(ValueError):
@@ -370,17 +375,16 @@ class TestReplayBuffer:
             assert (a == i / 20).all() and (ns == [i + 1.0, 0.5]).all()
             assert g == i - 5.5 and term == float(i == 4)
 
-    @pytest.mark.parametrize("capacity", [10_000, 50])
-    def test_ring_matches_list_buffer(self, capacity):
-        ring, oracle = ReplayBuffer(capacity, 3, seed=5), _ListBuffer(capacity, seed=5)
-        rng = np.random.default_rng(capacity + 1)
+    def test_ring_matches_list_buffer(self):
+        buf, oracle = ReplayBuffer(400, 3, seed=5), _ListBuffer(seed=5)
+        rng = np.random.default_rng(10_001)
         for i in range(400):
             transition = (rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
                           rng.uniform(0, 1, 3), bool(rng.random() < 0.15))
-            ring.push(*transition)
+            buf.push(*transition)
             oracle.push(*transition)
-            assert len(ring) == len(oracle._items)
-            got = ring.sample(8)
+            assert len(buf) == len(oracle._items)
+            got = buf.sample(8)
             want = oracle.sample(8)
             for g, w in zip(got, want, strict=True):
                 assert g.dtype == w.dtype and np.array_equal(g, w), i
@@ -435,7 +439,7 @@ class _CopyingReference:
 
 def test_learn_matches_copying_reference():
     cfg = ExperimentConfig(n_classes=3, seed=2)
-    cfg.agent = AgentConfig(batch_size=8, buffer_capacity=30, hidden=6,
+    cfg.agent = AgentConfig(batch_size=8, hidden=6,
                             actor_lr=0.05, critic_lr=0.05, soft_update_tau=0.1)
     part = ClientPartition(0, 3, [np.array([c]) for c in range(3)], np.array([3]))
     opt = _OptimizedClient(cfg, [5, 4, 3], part, np.zeros((4, 5)), np.array([0, 1, 2, 0]))
@@ -448,7 +452,7 @@ def test_learn_matches_copying_reference():
         tr = (rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
               rng.uniform(0, 1, 3), i % 9 == 8)
         opt.buffer.push(*tr)
-        ref.items = (ref.items + [tr])[-cfg.agent.buffer_capacity:]
+        ref.items.append(tr)
         opt._learn()
         if len(ref.items) >= cfg.agent.batch_size:
             ref.learn()

@@ -100,8 +100,6 @@ class TestParseConfig:
         ("n_classes = 1", "n_classes"), ("dirichlet_alpha = 0", "dirichlet_alpha"),
         ("cda_depth = -1", "cda_depth"), ("seed = -1", "seed"),
         ("n_per_class = 0", "n_per_class"), ("feature_dim = 0", "feature_dim"),
-        ("agent.buffer_capacity = 16", "agent.buffer_capacity"),
-        ("agent.batch_size = 20000", "agent.buffer_capacity"),
         ("agent.soft_update_tau = 0", "agent.soft_update_tau"),
         ("agent.soft_update_tau = -0.5", "agent.soft_update_tau"),
         ("agent.soft_update_tau = 1.5", "agent.soft_update_tau"),
@@ -117,12 +115,9 @@ class TestParseConfig:
         ("agent.epsilon_start = 1.5", "agent.epsilon_start"),
         ("agent.epsilon_start = 0.05", "agent.epsilon_start"),  # below the default end 0.1
         ("agent.epsilon_end = -0.1", "agent.epsilon_end"),
-        ("agent.epsilon_decay = inf", "agent.epsilon_decay"),
         ("agent.actor_lr = -0.001", "agent.actor_lr"),
         ("agent.critic_lr = -1", "agent.critic_lr"), ("agent.critic_lr = nan", "agent.critic_lr"),
         ("reward.lambda = nan", "reward.lambda"), ("c_ratio = -inf", "c_ratio"),
-        ("agent.epsilon_decay = -0.1", "agent.epsilon_decay"),
-        ("agent.epsilon_decay = nan", "agent.epsilon_decay"),
         ("finetune_patience = 0", "finetune_patience"),
         ("finetune_patience = -3", "finetune_patience"),
         ("finetune_max_epochs = -1", "finetune_max_epochs"),
@@ -142,7 +137,6 @@ class TestParseConfig:
         "aggregation = fedavgm\nfedavgm_beta = 0\n",
         "agent.epsilon_start = 0\nagent.epsilon_end = 0\n",
         "agent.epsilon_start = 1\nagent.epsilon_end = 1\n",
-        "agent.epsilon_decay = 0\n",
         "finetune_patience = 1\nfinetune_max_epochs = 0\n",
     ])
     def test_zero_and_edge_values_stay_valid(self, tmp_path, lines):
@@ -157,7 +151,11 @@ class TestParseConfig:
         assert "config: seed must be >= 0" in caplog.text
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key", [f"seed_{s}" for s in ("data", "init", "agent", "sampling")])
+    # Deleted keys: the four seed keys gave way to `seed`, n-step returns are
+    # gone, and the replay buffer and the epsilon schedule are sized from `rounds`.
+    @pytest.mark.parametrize("key", [*(f"seed_{s}" for s in ("data", "init", "agent", "sampling")),
+                                     "agent.n_step", "agent.buffer_capacity",
+                                     "agent.epsilon_decay"])
     def test_old_seed_keys_are_unknown(self, tmp_path, caplog, key):
         path = tmp_path / "old.cfg"
         path.write_text(f"{key} = 5\n")
@@ -181,7 +179,7 @@ class TestParseConfig:
 
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(rounds=12, optimized_client=None, hidden_dims=[16, 8])
-        cfg.agent.epsilon_decay = 0.05
+        cfg.agent.epsilon_end = 0.05
         path = tmp_path / "rt.cfg"
         path.write_text(emit_config(cfg))
         assert parse_config(str(path)) == cfg
@@ -360,7 +358,7 @@ class TestCmdRun:
     def test_outputs_reject_non_finite_values(self, tmp_path):
         cfg = ExperimentConfig()
         record = RoundRecord(0, [0], np.empty((0, 4)), [], {"reward": float("nan")}, "fedavg")
-        result = RunResult(np.zeros(3), {}, [record], np.empty((1, 0, 4)), [], [], None, [2, 2])
+        result = RunResult(np.zeros(3), {}, [record], np.empty((1, 0, 4)), [], [])
         with pytest.raises(ValueError):
             _write_outputs(tmp_path / "o", cfg, result)
         assert not (tmp_path / "o").exists()
@@ -450,16 +448,6 @@ class TestCmdRun:
                 "(client 0 is the only client)") in caplog.text
         assert not out.exists()
 
-    def test_huge_buffer_capacity_runs(self, small_config, tmp_path):
-        # The ring holds at most one transition a round, so a capacity far
-        # beyond `rounds` allocates nothing extra and changes nothing.
-        huge = tmp_path / "huge.cfg"
-        huge.write_text(SMALL + "agent.buffer_capacity = 1000000000000\n")
-        assert main(["run", "--config", str(huge), "--out", str(tmp_path / "huge")]) == 0
-        assert main(["run", "--config", str(small_config), "--out", str(tmp_path / "std")]) == 0
-        rounds = [(tmp_path / d / "rounds.jsonl").read_bytes() for d in ("huge", "std")]
-        assert rounds[0] == rounds[1]
-
     def test_ablation_flag(self, small_config, tmp_path):
         out = tmp_path / "abl"
         assert main(["run", "--config", str(small_config), "--out", str(out),
@@ -535,17 +523,27 @@ class TestCmdPlotData:
         assert "config.resolved.cfg" in caplog.text
         assert not plots.exists()
 
-    def test_old_run_config_exits_3_naming_it(self, small_config, tmp_path, caplog):
+    @pytest.mark.parametrize("line,old,key", [
         # A run written before the one `seed` key holds four seed keys.
+        pytest.param("seed = 0\n",
+                     "seed_data = 0\nseed_init = 1\nseed_agent = 2\nseed_sampling = 3\n",
+                     "seed_data", id="seed_keys"),
+        # One written before the buffer was sized from `rounds` holds its capacity.
+        pytest.param("agent.batch_size = 32\n",
+                     "agent.buffer_capacity = 10000\nagent.batch_size = 32\n",
+                     "agent.buffer_capacity", id="buffer_capacity"),
+    ])
+    def test_old_run_config_exits_3_naming_it(self, small_config, tmp_path, caplog, line, old,
+                                              key):
         out = tmp_path / "run"
         assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
         cfg = out / "config.resolved.cfg"
-        old = "seed_data = 0\nseed_init = 1\nseed_agent = 2\nseed_sampling = 3\n"
-        cfg.write_text(cfg.read_text().replace("seed = 0\n", old))
+        assert line in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(line, old))
         plots = tmp_path / "plots"
         assert main(["plot-data", "--rounds", str(out / "rounds.jsonl"),
                      "--out", str(plots)]) == 3
-        assert re.search(f"plot-data: {re.escape(str(cfg))}: line \\d+: unknown key 'seed_data'",
+        assert re.search(f"plot-data: {re.escape(str(cfg))}: line \\d+: unknown key '{key}'",
                          caplog.text)
         assert not plots.exists()
 

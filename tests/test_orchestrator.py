@@ -342,6 +342,20 @@ class TestOptimizedClient:
                                 np.random.default_rng(_derived_seed(cfg.seed, 53)))
         assert np.array_equal(best, want[0]) and trace == want[1]
 
+    @pytest.mark.parametrize("c_ratio", [0.5, 1.0])
+    def test_buffer_holds_one_transition_per_round_the_client_ran(self, monkeypatch, c_ratio):
+        # More rounds than a minibatch, so the agent learns; at c_ratio 1 the
+        # buffer, sized to `rounds`, ends full.
+        clients = []
+        finish = _OptimizedClient.finish
+        monkeypatch.setattr(_OptimizedClient, "finish",
+                            lambda opt, w: clients.append(opt) or finish(opt, w))
+        cfg = small_cfg(rounds=24, c_ratio=c_ratio)
+        cfg.agent.batch_size = 4
+        ran = sum(r.optimized is not None for r in run_federated(cfg).rounds)
+        assert cfg.agent.batch_size < ran <= cfg.rounds
+        assert len(clients[0].buffer) == ran
+
     def test_training_rows_gathered_once_per_run(self, monkeypatch):
         calls = []
         gather = ClientPartition.all_train_indices
@@ -678,7 +692,7 @@ class TestRunFederated:
 
     @pytest.mark.parametrize("key", [
         "prox_mu", "fedavgm_beta", "fedavgm_server_lr", "spread", "agent.epsilon_start",
-        "agent.epsilon_end", "agent.actor_lr", "agent.critic_lr", "agent.epsilon_decay",
+        "agent.epsilon_end", "agent.actor_lr", "agent.critic_lr",
     ])
     def test_nan_range_settings_rejected_by_validate(self, key):
         # A config built in code skips the parser's finiteness check.
@@ -689,8 +703,7 @@ class TestRunFederated:
             cfg.validate()
 
     @pytest.mark.parametrize("section,key,value", [
-        ("agent", "b_l", 0.0), ("agent", "soft_update_tau", 0.0),
-        ("agent", "buffer_capacity", 4), ("reward", "tau", 0),
+        ("agent", "b_l", 0.0), ("agent", "soft_update_tau", 0.0), ("reward", "tau", 0),
     ])
     def test_section_changed_after_construction_rejected_before_any_work(
         self, monkeypatch, section, key, value

@@ -120,7 +120,7 @@ def reference_fit_exponential(h, max_iter=50):
         residual = float(np.linalg.norm(-u * np.exp(-v * t) - y))
     if not np.isfinite(residual):
         return ExpFit(fit_valid=False)
-    return ExpFit(float(u), float(v), True, residual)
+    return ExpFit(float(u), float(v), True)
 
 
 LOSS_SHAPES = ("positive", "negative", "mixed", "flat", "growing", "wide")
@@ -155,21 +155,21 @@ def loss_histories(draw):
 def test_fit_is_bit_identical_to_the_reference(h):
     new, ref = fit_exponential(h), reference_fit_exponential(h)
     # repr is exact for floats, keeps the sign of zero and makes NaN equal to NaN
-    assert [repr(getattr(new, f)) for f in ("u", "v", "fit_valid", "residual")] == [
-        repr(getattr(ref, f)) for f in ("u", "v", "fit_valid", "residual")]
+    assert [repr(getattr(new, f)) for f in ("u", "v", "fit_valid")] == [
+        repr(getattr(ref, f)) for f in ("u", "v", "fit_valid")]
 
 
 class TestEstimateLoss:
     def test_v_zero_constant(self):
-        f = ExpFit(u=-2.0, v=0.0, fit_valid=True, residual=0.0)
+        f = ExpFit(u=-2.0, v=0.0, fit_valid=True)
         assert estimate_loss(f, 100) == pytest.approx(2.0)
 
     def test_t_zero(self):
-        f = ExpFit(u=-2.0, v=0.1, fit_valid=True, residual=0.0)
+        f = ExpFit(u=-2.0, v=0.1, fit_valid=True)
         assert estimate_loss(f, 0) == pytest.approx(2.0)
 
     def test_hand_value(self):
-        f = ExpFit(u=-2.0, v=0.1, fit_valid=True, residual=0.0)
+        f = ExpFit(u=-2.0, v=0.1, fit_valid=True)
         assert estimate_loss(f, 10) == pytest.approx(2 * np.exp(-1))
 
     def test_invalid_fit(self):
@@ -219,4 +219,4 @@ class TestComputeReward:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            RewardConfig(tau=0)
+            RewardConfig(tau=0).validate()
