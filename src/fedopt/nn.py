@@ -7,7 +7,9 @@ layer 1 weights, ...).
 Every function also takes G models at once: (G, P) parameters, (G, m, d)
 inputs and (G, m) labels. Slice g computes bit for bit what the 2-D call on
 it computes: matmul makes one BLAS call per slice, and each sum runs along
-the same axis in the same order.
+the same axis in the same order. Models with fewer real rows than m pad the
+rest: `cross_entropy_grad` gives the padded rows a zero gradient, so in
+backprop they add exact zeros along the summed axis.
 """
 
 from __future__ import annotations
@@ -98,10 +100,16 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> float | np.nda
     return float(loss) if loss.ndim == 0 else loss
 
 
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def cross_entropy_grad(
+    logits: np.ndarray, labels: np.ndarray, n_real: np.ndarray | None = None
+) -> np.ndarray:
     """Gradient of the mean softmax cross-entropy w.r.t. logits.
 
-    Labels are not range-checked: the training data was checked at load time.
+    `n_real`, one real row count per model (a 0-d array for 2-D logits),
+    marks each model's rows past that count as padding: the mean is over the
+    real rows only, and the padded rows' gradients are exactly 0.0, so they
+    add nothing in backprop. Labels are not range-checked: the training data
+    was checked at load time.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape[-2:]
@@ -109,7 +117,11 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))  # log-probabilities
     d = np.exp(z, out=z)
     d.reshape(-1, c)[np.arange(labels.size), labels.ravel()] -= 1.0
-    d /= n
+    if n_real is None:
+        d /= n
+    else:
+        d /= n_real[..., None, None]  # a division, as for n: bit-identical real rows
+        d[np.arange(n) >= n_real[..., None]] = 0.0
     return d
 
 

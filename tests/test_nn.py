@@ -324,6 +324,22 @@ class TestCrossEntropy:
         assert np.array_equal(cross_entropy_loss(logits, labels), ref_loss)
         assert np.array_equal(logits, before)
 
+    @pytest.mark.parametrize("shape,n_real", [
+        ((32, 4), 7), ((32, 4), 32), ((5, 3), 2), ((3, 32, 4), [31, 2, 32]), ((4, 9, 2), [9, 1, 5, 3]),
+    ], ids=["one_model", "one_model_full", "two_real_rows", "stacked", "stacked_with_1_row"])
+    def test_padded_rows_are_zero_and_real_rows_equal_the_unpadded_call(self, shape, n_real):
+        rng = np.random.default_rng(sum(shape))
+        logits = rng.normal(scale=3.0, size=shape)
+        labels = rng.integers(0, shape[-1], size=shape[:-1])
+        n_real = np.array(n_real)
+        d = cross_entropy_grad(logits, labels, n_real)
+        assert d.shape == logits.shape
+        for g in np.ndindex(shape[:-2]):
+            k = n_real[g]
+            assert np.array_equal(d[g][:k], cross_entropy_grad(logits[g][:k], labels[g][:k]))
+            pad = d[g][k:]
+            assert np.all(pad == 0.0) and not np.signbit(pad).any()
+
 
 class TestBackward:
     def test_zero_upstream(self):

@@ -159,16 +159,25 @@ class TestClientLocalTrain:
                                4, 0.1, [np.random.default_rng(0)] * 2, [3, 2])
 
     @staticmethod
-    def _reference(arch, w_init, x, y, epochs, batch_size, lr, rng, prox_mu, w_global):
+    def _reference(arch, w_init, x, y, epochs, batch_size, lr, rng, prox_mu, w_global,
+                   pad=True):
         """Serial copying loop for one client: every step builds a new Mlp over a new vector
-        and takes the combined loss-and-gradient and the full backprop of tests.test_nn."""
+        and takes the combined loss-and-gradient and the full backprop of tests.test_nn.
+
+        With `pad`, a batch of 2 or more rows is padded to batch_size with rows of zero
+        logit gradient, as client_local_train pads it; a 1-row batch never is."""
         model = Mlp(list(arch), np.array(w_init, dtype=np.float64))
         for _ in range(epochs):
             order = rng.permutation(len(y))
             for i in range(0, len(y), batch_size):
                 batch = order[i : i + batch_size]
+                m = len(batch)
+                if pad and m > 1:
+                    batch = np.concatenate([batch, np.zeros(batch_size - m, dtype=batch.dtype)])
                 acts = []
-                _, d_logits = reference_cross_entropy(forward(model, x[batch], acts), y[batch])
+                logits = forward(model, x[batch], acts)
+                _, d_logits = reference_cross_entropy(logits[:m], y[batch[:m]])
+                d_logits = np.vstack([d_logits, np.zeros((len(batch) - m, arch[-1]))])
                 grads, _ = reference_backward(model, acts, d_logits)
                 if prox_mu > 0.0 and w_global is not None:
                     grads = grads + prox_mu * (model.params - w_global)
@@ -193,38 +202,81 @@ class TestClientLocalTrain:
         assert not np.array_equal(out, w_init)
         assert np.array_equal(w_init, before)
 
-    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
-    @pytest.mark.parametrize("sizes,epochs,batch_size", [
-        # ragged and unsorted: a 1-row client, two clients of 20 rows, and last
-        # batches of 1 to 7 rows next to full ones
-        ([20, 1, 37, 20, 6, 55, 3], 1, 8),
-        ([20, 1, 37, 20, 6, 55, 3], 3, 8),
+    # Ragged and unsorted: a 1-row client, two clients of 20 rows, and last
+    # batches of 1 to 7 rows next to full ones.
+    RAGGED = [20, 1, 37, 20, 6, 55, 3]
+    LOCKSTEP_CASES = pytest.mark.parametrize("sizes,epochs,batch_size,arch", [
+        (RAGGED, 1, 8, [5, 7, 4]),
+        (RAGGED, 3, 8, [5, 7, 4]),
         # batch_size larger than every client: one partial batch each, in runs of equal size
-        ([5, 9, 2, 9, 5], 2, 64),
-        ([30], 3, 7),  # K = 1
-        ([1], 1, 4),
-    ], ids=["ragged", "ragged_3_epochs", "batch_over_every_client", "one_client",
-            "one_row"])
-    def test_lockstep_matches_serial_reference_bit_for_bit(self, sizes, epochs, batch_size,
-                                                           prox_mu):
+        ([5, 9, 2, 9, 5], 2, 64, [5, 7, 4]),
+        ([30], 3, 7, [5, 7, 4]),  # K = 1
+        ([1], 1, 4, [5, 7, 4]),
+        # the benchmark's shape: odd, even, 1-row and 2-row last batches, and
+        # clients smaller than one batch
+        ([97, 33, 65, 31, 2, 1, 40, 7], 3, 32, [16, 32, 4]),
+    ], ids=["ragged", "ragged_3_epochs", "batch_over_every_client", "one_client", "one_row",
+            "benchmark_shaped"])
+
+    def _lockstep_and_references(self, sizes, epochs, batch_size, arch, prox_mu, pad):
+        """client_local_train on `sizes` and each client's serial _reference."""
         rng = np.random.default_rng(len(sizes) + epochs)
-        arch = [5, 7, 4]
         w_init = Mlp.init_glorot(arch, rng).params.copy()
         w_global = w_init + rng.normal(scale=0.1, size=w_init.shape)
-        x = rng.normal(size=(sum(sizes), 5))
-        y = rng.integers(0, 4, sum(sizes))
+        x = rng.normal(size=(sum(sizes), arch[0]))
+        y = rng.integers(0, arch[-1], sum(sizes))
         seeds = [_derived_seed(3, 29, k) for k in range(len(sizes))]
         before = w_init.copy()
         out = client_local_train(arch, w_init, x, y, epochs, batch_size, 0.2,
                                  [np.random.default_rng(s) for s in seeds], sizes,
                                  prox_mu, w_global)
-        assert len(out) == len(sizes)
+        assert len(out) == len(sizes) and np.array_equal(w_init, before)
         starts = np.cumsum([0, *sizes])
-        for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            ref = self._reference(arch, w_init, x[lo:hi], y[lo:hi], epochs, batch_size, 0.2,
-                                  np.random.default_rng(seeds[k]), prox_mu, w_global)
+        refs = [self._reference(arch, w_init, x[lo:hi], y[lo:hi], epochs, batch_size, 0.2,
+                                np.random.default_rng(seeds[k]), prox_mu, w_global, pad)
+                for k, (lo, hi) in enumerate(zip(starts, starts[1:]))]
+        return out, refs
+
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    @LOCKSTEP_CASES
+    def test_lockstep_matches_serial_reference_bit_for_bit(self, sizes, epochs, batch_size,
+                                                           arch, prox_mu):
+        out, refs = self._lockstep_and_references(sizes, epochs, batch_size, arch, prox_mu, True)
+        for k, ref in enumerate(refs):
             assert np.array_equal(out[k], ref), f"client {k}"
-        assert np.array_equal(w_init, before)
+
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    @LOCKSTEP_CASES
+    def test_padding_matches_unpadded_serial_sgd_to_a_few_ulps(self, sizes, epochs, batch_size,
+                                                               arch, prox_mu):
+        # Padded rows add exact zeros along the reduction axis of the gradient;
+        # only the real rows of a padded forward product may round differently
+        # from an unpadded one, by an ulp, on some BLAS kernels (none on
+        # OpenBLAS's SkylakeX). Under its Haswell and Prescott kernels the
+        # largest difference in these cases is 1.1e-16 on parameters of order
+        # 1; 1e-13 leaves three orders of margin.
+        out, refs = self._lockstep_and_references(sizes, epochs, batch_size, arch, prox_mu, False)
+        for k, ref in enumerate(refs):
+            np.testing.assert_allclose(out[k], ref, rtol=0.0, atol=1e-13, err_msg=f"client {k}")
+
+    def test_one_step_per_batch_offset_and_one_more_for_1_row_batches(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(orchestrator, "sgd_step",
+                            lambda params, grads, lr: steps.append(params.shape[:-1]))
+        rng = np.random.default_rng(7)
+        arch, sizes, batch_size, epochs = [3, 4, 2], self.RAGGED, 8, 2
+        client_local_train(arch, Mlp.init_glorot(arch, rng).params,
+                           rng.normal(size=(sum(sizes), 3)), rng.integers(0, 2, sum(sizes)),
+                           epochs, batch_size, 0.1,
+                           [np.random.default_rng(k) for k in range(len(sizes))], sizes)
+        offsets = range(0, max(sizes), batch_size)
+        one_row = [i for i in offsets if i + 1 in sizes]
+        assert len(offsets) == 7 and one_row == [0]
+        assert len(steps) == epochs * (len(offsets) + len(one_row))
+        # Per epoch: the 6 clients with 2 or more rows at offset 0, then the 1-row
+        # client; then 4, 4, 2, 2 clients; then the 55-row client alone (no client
+        # axis) at offsets 40 and 48.
+        assert steps == epochs * [(6,), (), (4,), (4,), (2,), (2,), (), ()]
 
     def test_training_never_computes_the_loss(self, monkeypatch):
         def loss(*_):
