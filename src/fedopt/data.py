@@ -50,9 +50,13 @@ def generate_synthetic(
         raise ValueError("need n_classes >= 2, n_per_class >= 1, dim >= 1")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 2.0, size=(n_classes, dim))
-    features = np.concatenate(
-        [centers[c] + spread * rng.standard_normal((n_per_class, dim)) for c in range(n_classes)]
-    )
+    # Class by class in place: the draws and the arithmetic of
+    # centers[c] + spread * noise, without a temporary per class.
+    features = np.empty((n_classes * n_per_class, dim))
+    for c, block in enumerate(np.split(features, n_classes)):
+        rng.standard_normal(out=block)
+        np.multiply(spread, block, out=block)
+        np.add(centers[c], block, out=block)
     labels = np.repeat(np.arange(n_classes), n_per_class)
     return LabeledDataset(features, labels, n_classes)
 

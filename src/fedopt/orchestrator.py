@@ -180,6 +180,102 @@ def _derived_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), fixed by NEP 19's
+# stream policy. The hash constants step as Python ints mod 2**32 and meet
+# only uint32 arrays: numpy warns when a uint32 scalar product overflows,
+# never when an array's does.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+# At most this many (round, client) batch-order streams are derived at once.
+_STREAM_BLOCK = 4096
+
+
+def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """`SeedSequence(list(column)).generate_state(n_words)` of every column at once.
+
+    `entropy` is an (L, N) uint32 array, L >= 1; returns an (n_words, N) uint32 array.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ (value >> _SHIFT)
+
+    words = list(entropy)
+    words += [np.zeros_like(words[0])] * (_POOL_SIZE - len(words))
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = np.empty((n_words, entropy.shape[1]), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value *= np.uint32(hash_const)
+        out[i] = value ^ (value >> _SHIFT)
+    return out
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands a bit generator the state words a SeedSequence would have generated."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _batch_order_states(seed: int, t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """PCG64's seed words of `default_rng(_derived_seed(seed, 29, t[i], k[i]))` for each i.
+
+    `t` and `k` are equal-length uint32 arrays; returns a (len(t), 4) uint64
+    array. SeedSequence reads `seed` as little-endian 32-bit words, one word for 0.
+    """
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(seed_words) + 3, len(t)), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[-3] = 29
+    entropy[-2] = t
+    entropy[-1] = k
+    derived = _seed_words(entropy, 1)  # each key's _derived_seed
+    # PCG64 asks its seed sequence for 4 uint64: 8 words read as little-endian pairs.
+    return np.ascontiguousarray(_seed_words(derived, 8).T, dtype="<u4").view("<u8").astype(
+        np.uint64)
+
+
+def _sampled_rounds(cfg: ExperimentConfig, rng_sampling: np.random.Generator):
+    """Yields each round's (t, sampled clients, their batch-order generators by id).
+
+    Rounds are sampled, and their streams derived, a block of rounds at a
+    time; `rng_sampling` feeds nothing else, so every draw is as if per round.
+    """
+    per_block = max(1, _STREAM_BLOCK // cfg.n_clients)  # n_clients bounds a round's sample
+    for t0 in range(0, cfg.rounds, per_block):
+        block = [sample_clients(cfg.n_clients, cfg.c_ratio, rng_sampling)
+                 for _ in range(t0, min(cfg.rounds, t0 + per_block))]
+        rounds = np.repeat(np.arange(t0, t0 + len(block), dtype=np.uint32), list(map(len, block)))
+        clients = np.fromiter(itertools.chain.from_iterable(block), dtype=np.uint32)
+        states = iter(_batch_order_states(cfg.seed, rounds, clients))
+        for t, sampled in enumerate(block, t0):
+            yield t, sampled, {k: np.random.Generator(np.random.PCG64(_StateWords(next(states))))
+                               for k in sampled}
+
+
 def client_local_train(
     arch: list[int],
     w_init: np.ndarray,
@@ -232,16 +328,19 @@ def client_local_train(
     # n[c] pad its last batch with row 0 of x.
     perm = np.zeros((len(n), -(-n[0] // batch_size) * batch_size), dtype=np.intp)
     acts: list = []  # each step's forward pass refills it
-    for _ in range(epochs):
-        for c, k in enumerate(order):
-            np.add(starts[k], rngs[k].permutation(n[c]), out=perm[c, : n[c]])
-        for model, rows, i, width, counts in steps:
-            batch = perm[rows, i : i + width]
-            logits = forward(model, x[batch], acts)
-            grads = backward(model, acts, cross_entropy_grad(logits, y[batch], counts))
-            if prox_mu > 0.0 and w_global is not None:
-                grads += prox_mu * (model.params - w_global)
-            sgd_step(model.params, grads, lr)
+    # A diverging client overflows to inf and NaN here; the caller's finite
+    # check reports it, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(epochs):
+            for c, k in enumerate(order):
+                np.add(starts[k], rngs[k].permutation(n[c]), out=perm[c, : n[c]])
+            for model, rows, i, width, counts in steps:
+                batch = perm[rows, i : i + width]
+                logits = forward(model, x[batch], acts)
+                grads = backward(model, acts, cross_entropy_grad(logits, y[batch], counts))
+                if prox_mu > 0.0 and w_global is not None:
+                    grads += prox_mu * (model.params - w_global)
+                sgd_step(model.params, grads, lr)
     return [stack[c].copy() for c in np.argsort(order)]
 
 
@@ -446,8 +545,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     client_params: dict[int, np.ndarray] = {}
 
     prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
-    for t in range(cfg.rounds):
-        sampled = sample_clients(cfg.n_clients, cfg.c_ratio, rng_sampling)
+    for t, sampled, batch_order in _sampled_rounds(cfg, rng_sampling):
         # Every sampled client with training rows trains in one lockstep call, in
         # sampled order: a naive client on all its rows, the optimized client on
         # the rows its action selected.
@@ -459,7 +557,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         if opt_sampled:
             rows[cfg.optimized_client] = opt.round(server.global_params, t)
         gathered = np.concatenate(list(rows.values()))
-        rngs = [np.random.default_rng(_derived_seed(cfg.seed, 29, t, k)) for k in rows]
+        rngs = [batch_order[k] for k in rows]
         trained = client_local_train(
             arch, server.global_params, x[gathered], y[gathered], cfg.local_epochs,
             cfg.batch_size, cfg.lr, rngs, [len(r) for r in rows.values()], prox,

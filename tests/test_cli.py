@@ -237,11 +237,25 @@ class TestCmdRun:
         cfg = tmp_path / "hot.cfg"
         cfg.write_text("n_clients = 4\nrounds = 3\nlr = 1000\n")
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert re.search(r"runtime: round \d+: client \d+: non-finite", caplog.text)
         assert not (out / "rounds.jsonl").exists()
         assert not (out / "summary.csv").exists()
+
+    def test_diverged_quickstart_prints_only_its_error_line(self, tmp_path):
+        # A fresh interpreter, so numpy's warnings reach stderr as they do for a user.
+        repo = Path(__file__).resolve().parents[1]
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text((repo / "configs" / "quickstart.cfg").read_text() + "lr = 1e30\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedopt.cli", "run", "--config", str(cfg), "--out",
+             str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": str(Path(fedopt.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "ERROR:fedopt:runtime: round 0: client 3: non-finite parameters (diverged)"]
 
     @pytest.mark.parametrize("bad,message", [
         ("nan", "data row 5: non-finite feature"),

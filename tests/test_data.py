@@ -31,6 +31,17 @@ class TestGenerateSynthetic:
         b = generate_synthetic(3, 20, 4, 1.0, seed=7)
         np.testing.assert_array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("n_classes,n_per_class,dim,spread,seed",
+                             [(4, 400, 16, 5.0, 0), (2, 1, 1, 0.3, 7), (10, 33, 5, 1e-3, 2**40)])
+    def test_features_bit_identical_to_concatenated_blobs(self, n_classes, n_per_class, dim,
+                                                          spread, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(0.0, 2.0, size=(n_classes, dim))
+        want = np.concatenate([centers[c] + spread * rng.standard_normal((n_per_class, dim))
+                               for c in range(n_classes)])
+        ds = generate_synthetic(n_classes, n_per_class, dim, spread, seed)
+        assert ds.features.tobytes() == want.tobytes() and ds.features.shape == want.shape
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             generate_synthetic(1, 10, 3, 1.0, 0)

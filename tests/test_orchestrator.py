@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedopt import orchestrator
 from fedopt.agent import weighted_metric_action
@@ -487,6 +489,73 @@ class TestSampleClients:
         assert np.all(np.abs(freq - 0.5) < 0.02)
 
 
+class TestBatchOrderStreams:
+    """The vectorized derivation against the per-key SeedSequence it replaces."""
+
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 12345]  # one word, the largest one, two, three
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**96)),
+           keys=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+                         min_size=1, max_size=6))
+    def test_streams_equal_default_rng_of_derived_seed(self, seed, keys):
+        keys = [(0, 0), *keys]
+        t, k = np.array(keys, dtype=np.uint32).T
+        states = orchestrator._batch_order_states(seed, t, k)
+        assert states.shape == (len(keys), 4)
+        for (t, k), words in zip(keys, states):
+            want = np.random.default_rng(_derived_seed(seed, 29, t, k))
+            got = np.random.Generator(np.random.PCG64(orchestrator._StateWords(words)))
+            assert got.bit_generator.state == want.bit_generator.state
+            for n in (1, 7, 64):
+                assert np.array_equal(got.permutation(n), want.permutation(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns=st.integers(1, 5).flatmap(lambda length: st.lists(
+               st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length),
+               min_size=1, max_size=4)),
+           n_words=st.integers(1, 9))
+    def test_seed_words_equal_generate_state(self, columns, n_words):
+        # Up to 5 entropy words: shorter than the pool of 4, equal, and longer.
+        entropy = np.array(columns, dtype=np.uint32).T
+        got = orchestrator._seed_words(entropy, n_words)
+        assert got.dtype == np.uint32 and got.shape == (n_words, len(columns))
+        for column, words in zip(columns, got.T):
+            assert np.array_equal(words, np.random.SeedSequence(column).generate_state(n_words))
+
+    @pytest.mark.parametrize("block", [1, 8, 4096], ids=["round_a_block", "two_rounds",
+                                                          "one_block"])
+    def test_run_trains_each_client_on_its_derived_stream(self, monkeypatch, block):
+        # 4 clients: a block of 8 pairs holds 2 rounds, and 5 rounds end on a short block.
+        cfg = small_cfg(n_clients=4, c_ratio=0.5, rounds=5, seed=2**32 + 3)
+        sampled, calls, blocks = [], [], []
+        derive = orchestrator._batch_order_states
+
+        def sampling(*args):
+            sampled.append(sample_clients(*args))
+            return sampled[-1]
+
+        def deriving(seed, t, k):
+            blocks.append(len(t))
+            return derive(seed, t, k)
+
+        def training(*args):
+            if len(calls) < cfg.rounds:  # the round's call, not a fine-tune epoch
+                calls.append([rng.bit_generator.state for rng in args[7]])
+            return client_local_train(*args)
+
+        monkeypatch.setattr(orchestrator, "_STREAM_BLOCK", block)
+        monkeypatch.setattr(orchestrator, "sample_clients", sampling)
+        monkeypatch.setattr(orchestrator, "_batch_order_states", deriving)
+        monkeypatch.setattr(orchestrator, "client_local_train", training)
+        run_federated(cfg)
+        assert len(sampled) == len(calls) == cfg.rounds
+        assert blocks == {1: [2] * 5, 8: [4, 4, 2], 4096: [10]}[block]
+        for t, (s, states) in enumerate(zip(sampled, calls)):
+            assert states == [np.random.default_rng(_derived_seed(cfg.seed, 29, t, k))
+                              .bit_generator.state for k in s]
+
+
 class TestRunFederated:
     def test_single_client_aggregation_identity(self):
         cfg = small_cfg(n_clients=1, rounds=2, optimized_client=None)
@@ -630,21 +699,23 @@ class TestRunFederated:
 
         cfg = small_cfg(n_clients=4, c_ratio=0.75, rounds=8, aggregation="fedprox",
                         local_epochs=2, batch_size=5)
-        log = []  # one dict a round: sampled clients, the selection, the training call
+        # Rounds are sampled a block at a time, so the i-th sampled list and the
+        # i-th round call are round i's; a selection belongs to the next call.
+        sampled, calls, sels = [], [], {}
         partition = data.action_partition
 
         def sampling(*args):
-            log.append({"sampled": sample_clients(*args)})
-            return log[-1]["sampled"]
+            sampled.append(sample_clients(*args))
+            return sampled[-1]
 
         def selecting(*args):
-            log[-1]["sel"] = partition(*args)
-            return log[-1]["sel"]
+            sels[len(calls)] = partition(*args)
+            return sels[len(calls)]
 
         def training(*args):
             out = client_local_train(*args)
-            if log and "call" not in log[-1]:  # the round's call, not a fine-tune epoch
-                log[-1]["call"] = (args[1].copy(), args[8], args[2], out)
+            if len(calls) < cfg.rounds:  # the round's call, not a fine-tune epoch
+                calls.append((args[1].copy(), args[8], args[2], out))
             return out
 
         monkeypatch.setattr(orchestrator, "sample_clients", sampling)
@@ -655,13 +726,12 @@ class TestRunFederated:
                                 cfg.seed)
         arch = [cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes]
         trained_opt = 0
-        for t, rec in enumerate(log):
-            w_global, sizes, x, out = rec["call"]
-            assert len(sizes) == len(rec["sampled"])  # every client has training rows
-            if 0 not in rec["sampled"]:
-                assert "sel" not in rec
+        for t, (s, (w_global, sizes, x, out)) in enumerate(zip(sampled, calls)):
+            assert len(sizes) == len(s)  # every client has training rows
+            if 0 not in s:
+                assert t not in sels
                 continue
-            sel, c = rec["sel"], rec["sampled"].index(0)
+            sel, c = sels[t], s.index(0)
             assert sizes[c] == len(sel)
             np.testing.assert_array_equal(x[sum(sizes[:c]) : sum(sizes[: c + 1])],
                                           ds.features[sel])
@@ -672,7 +742,7 @@ class TestRunFederated:
                 cfg.prox_mu, w_global)
             assert np.array_equal(out[c], want)
             trained_opt += 1
-        assert len(log) == cfg.rounds and 0 < trained_opt < cfg.rounds
+        assert len(sampled) == len(calls) == cfg.rounds and 0 < trained_opt < cfg.rounds
 
     def test_l_agg_matches_independent_recomputation(self):
         cfg = small_cfg()
