@@ -67,13 +67,21 @@ def fed_cda_lite(updates: list[ClientUpdate], state: ServerState, m: int) -> np.
     The cache keeps each update's own array, not a copy, so no caller may
     change an update's params in place.
     """
-    _stack(updates)
+    if not updates:
+        raise ValueError("no client updates")
+    caches = [state.model_cache.setdefault(u.client_id, deque(maxlen=m)) for u in updates]
+    candidates = [p for u, cache in zip(updates, caches) for p in (*cache, u.params)]
+    d = np.stack(candidates)  # unequal lengths raise ValueError
+    d -= state.global_params
+    # Each stacked 1x1 product is np.dot(r, r) bit for bit, so its sqrt is
+    # np.linalg.norm(r); einsum and (d * d).sum can round differently.
+    dists = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
     chosen = []
-    for u in updates:
-        cache = state.model_cache.setdefault(u.client_id, deque(maxlen=m))
-        candidates = list(cache) + [u.params]
-        dists = [np.linalg.norm(p - state.global_params) for p in candidates]
-        chosen.append(ClientUpdate(u.client_id, candidates[int(np.argmin(dists))], u.n_samples))
+    end = 0
+    for u, cache in zip(updates, caches):
+        start, end = end, end + len(cache) + 1
+        pick = candidates[start + int(np.argmin(dists[start:end]))]
+        chosen.append(ClientUpdate(u.client_id, pick, u.n_samples))
         cache.append(u.params)
     return fed_avg(chosen)
 

@@ -190,6 +190,9 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 # At most this many (round, client) batch-order streams are derived at once.
 _STREAM_BLOCK = 4096
+# Rounds are scored a block at a time, about this many (round, client) cells
+# each: one call per block, without holding every round's confusion matrices.
+_SCORE_CELLS = 1024
 
 
 def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
@@ -336,7 +339,7 @@ def client_local_train(
                 np.add(starts[k], rngs[k].permutation(n[c]), out=perm[c, : n[c]])
             for model, rows, i, width, counts in steps:
                 batch = perm[rows, i : i + width]
-                logits = forward(model, x[batch], acts)
+                logits = forward(model, x.take(batch, axis=0), acts)
                 grads = backward(model, acts, cross_entropy_grad(logits, y[batch], counts))
                 if prox_mu > 0.0 and w_global is not None:
                     grads += prox_mu * (model.params - w_global)
@@ -345,7 +348,8 @@ def client_local_train(
 
 
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    return cross_entropy_loss(forward(Mlp(arch, params), x), y)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller's finite check reports it
+        return cross_entropy_loss(forward(Mlp(arch, params), x), y)
 
 
 def post_fl_finetune(
@@ -541,6 +545,9 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     train_rows = [p.all_train_indices() for p in parts]
     evaluated = [p.client_id for p in val_parts]
     metrics = np.empty((cfg.rounds, len(val_parts), len(METRICS)))
+    # Each round's confusion stack waits in `cms` until its block of rounds is scored.
+    block = min(cfg.rounds, max(1, _SCORE_CELLS // len(val_parts)))
+    cms = np.empty((block, len(val_parts), arch[-1], arch[-1]), dtype=np.int64)
     records: list[RoundRecord] = []
     client_params: dict[int, np.ndarray] = {}
 
@@ -559,9 +566,9 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         gathered = np.concatenate(list(rows.values()))
         rngs = [batch_order[k] for k in rows]
         trained = client_local_train(
-            arch, server.global_params, x[gathered], y[gathered], cfg.local_epochs,
-            cfg.batch_size, cfg.lr, rngs, [len(r) for r in rows.values()], prox,
-            server.global_params)
+            arch, server.global_params, x.take(gathered, axis=0), y[gathered],
+            cfg.local_epochs, cfg.batch_size, cfg.lr, rngs, [len(r) for r in rows.values()],
+            prox, server.global_params)
         updates = []
         for (k, rows_k), w_k in zip(rows.items(), trained):
             _require_finite(f"round {t}: client {k}", parameters=w_k)
@@ -574,9 +581,13 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         )
         _require_finite(f"round {t}: server", parameters=server.global_params)
 
-        cms = evaluate(Mlp(arch, server.global_params), x, val_y, val_rows, val_slots,
-                       len(val_parts))
-        metrics[t] = np.column_stack([accuracy(cms), *(m.mean(axis=-1) for m in class_prf1(cms))])
+        i = t % block
+        cms[i] = evaluate(Mlp(arch, server.global_params), x, val_y, val_rows, val_slots,
+                          len(val_parts))
+        if i == block - 1 or t == cfg.rounds - 1:
+            done = cms[: i + 1]
+            metrics[t - i : t + 1] = np.stack(
+                [accuracy(done), *(m.mean(axis=-1) for m in class_prf1(done))], axis=-1)
         records.append(RoundRecord(t, sampled, metrics[t], evaluated, opt_fragment,
                                    cfg.aggregation))
 

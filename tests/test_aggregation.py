@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,17 @@ from fedopt.aggregation import (
     fed_cda_lite,
     fed_median,
 )
+
+
+def cda_reference(updates, caches, g, m):
+    """fed_cda_lite from one np.linalg.norm per candidate; `caches` maps ids to lists."""
+    chosen = []
+    for u in updates:
+        cands = caches.setdefault(u.client_id, []) + [u.params]
+        dists = [np.linalg.norm(p - g) for p in cands]
+        chosen.append(ClientUpdate(u.client_id, cands[int(np.argmin(dists))], u.n_samples))
+        caches[u.client_id] = cands[-m:] if m else []
+    return fed_avg(chosen)
 
 
 def updates_from(mat, n=None):
@@ -128,7 +141,43 @@ class TestFedCdaLite:
                 cands = caches[u.client_id] + [u.params]
                 best = min(cands, key=lambda p: np.linalg.norm(p - g))
                 chosen.append(ClientUpdate(u.client_id, best, u.n_samples))
-            np.testing.assert_allclose(out, fed_avg(chosen))
+            np.testing.assert_array_equal(out, fed_avg(chosen))
+
+    @pytest.mark.parametrize("g,cache,update,m", [
+        ([0.0, 0.0], [[0.0, 2.0], [2.0, 0.0]], [-2.0, 0.0], 3),  # three-way tie: first wins
+        ([0.0, 0.0], "repeated", [5.0, 0.0], 3),  # one cached array twice, tied with the update
+        ([1.0, 1.0], [[2.0, 2.0], [1.0, 1.0]], [1.0, 1.0], 3),  # two candidates equal to g
+        ([0.0, 0.0], [], [7.0, 7.0], 3),  # empty cache: the update
+        ([0.0, 0.0], [], [7.0, 7.0], 0),  # m = 0: the cache stays empty
+    ])
+    def test_exact_ties_match_per_candidate_norm(self, g, cache, update, m):
+        g = np.array(g)
+        if cache == "repeated":
+            a = np.array([3.0, 4.0])
+            cache = [a, a]
+        cache = [np.asarray(p) for p in cache]
+        state = ServerState(g.copy())
+        state.model_cache[0] = deque(cache, maxlen=m)
+        ups = [ClientUpdate(0, np.array(update), 2), ClientUpdate(1, np.array(update) + 1, 1)]
+        expect = cda_reference(ups, {0: cache}, g, m)
+        np.testing.assert_array_equal(fed_cda_lite(ups, state, m), expect)
+        assert [list(map(id, state.model_cache[c])) for c in (0, 1)] == (
+            [[id(p) for p in (*cache, ups[0].params)][-m:], [id(ups[1].params)]] if m
+            else [[], []])
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_picks_match_per_candidate_norm_over_rounds(self, m):
+        # Small integer vectors make equal distances common.
+        rng = np.random.default_rng(9)
+        state, caches = ServerState(np.zeros(3)), {}
+        for _ in range(40):
+            g = rng.integers(-2, 3, size=3).astype(float)
+            state.global_params = g
+            ups = [ClientUpdate(int(c), rng.integers(-2, 3, size=3).astype(float),
+                                int(rng.integers(1, 5)))
+                   for c in sorted(rng.choice(5, size=3, replace=False))]
+            expect = cda_reference(ups, caches, g, m)
+            np.testing.assert_array_equal(fed_cda_lite(ups, state, m), expect)
 
 
 class TestAggregateDispatch:
@@ -175,6 +224,11 @@ class TestAggregateDispatch:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             aggregate("fedfoo", updates_from([[1.0]]), ServerState(np.zeros(1)))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_no_updates_rejected(self, strategy):
+        with pytest.raises(ValueError, match="no client updates"):
+            aggregate(strategy, [], ServerState(np.zeros(3)))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_unequal_parameter_lengths_rejected(self, strategy):

@@ -242,11 +242,15 @@ class TestCmdRun:
         assert not (out / "rounds.jsonl").exists()
         assert not (out / "summary.csv").exists()
 
-    def test_diverged_quickstart_prints_only_its_error_line(self, tmp_path):
+    @pytest.mark.parametrize("lr,where", [
+        ("1e30", "round 0: client 3"),  # overflows in training
+        ("5", "round 15: client 1"),  # grows huge but finite first: overflows in evaluation
+    ])
+    def test_diverged_quickstart_prints_only_its_error_line(self, tmp_path, lr, where):
         # A fresh interpreter, so numpy's warnings reach stderr as they do for a user.
         repo = Path(__file__).resolve().parents[1]
         cfg = tmp_path / "hot.cfg"
-        cfg.write_text((repo / "configs" / "quickstart.cfg").read_text() + "lr = 1e30\n")
+        cfg.write_text((repo / "configs" / "quickstart.cfg").read_text() + f"lr = {lr}\n")
         proc = subprocess.run(
             [sys.executable, "-m", "fedopt.cli", "run", "--config", str(cfg), "--out",
              str(tmp_path / "o")],
@@ -255,7 +259,7 @@ class TestCmdRun:
         )
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
-            "ERROR:fedopt:runtime: round 0: client 3: non-finite parameters (diverged)"]
+            f"ERROR:fedopt:runtime: {where}: non-finite parameters (diverged)"]
 
     @pytest.mark.parametrize("bad,message", [
         ("nan", "data row 5: non-finite feature"),

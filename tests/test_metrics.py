@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedopt.metrics import accuracy, class_prf1, compute_state, confusion
+from fedopt.metrics import accuracy, class_prf1, compute_state, confusion, evaluate
 from fedopt.nn import Mlp
 
 
@@ -122,6 +122,20 @@ class TestComputeState:
         y = rng.integers(0, 3, 40)
         _, loss = compute_state(w, arch, x, y)
         assert loss == dataset_loss(arch, w, x, y)
+
+    def test_huge_finite_parameters_warn_nothing(self):
+        # Their forward pass overflows; pytest makes any RuntimeWarning an error.
+        from fedopt.orchestrator import dataset_loss
+
+        rng = np.random.default_rng(3)
+        arch = [3, 5, 3]
+        w = Mlp.init_glorot(arch, rng).params * 1e200
+        x = rng.normal(size=(40, 3))
+        y = rng.integers(0, 3, 40)
+        s, loss = compute_state(w, arch, x, y)
+        assert np.all((s >= 0) & (s <= 1)) and not np.isfinite(loss)
+        assert not np.isfinite(dataset_loss(arch, w, x, y))
+        assert evaluate(Mlp(arch, w), x, y, np.arange(40)).sum() == 40
 
 
 class TestStacked:

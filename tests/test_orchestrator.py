@@ -806,6 +806,36 @@ class TestRunFederated:
         got = run_federated(small_cfg(n_clients=5, rounds=2)).rounds
         assert [r.client_metrics for r in got] == [r.client_metrics for r in expect]
 
+    @pytest.mark.parametrize("n_classes", [3, 9])
+    def test_block_scores_equal_per_round_scores(self, monkeypatch, n_classes):
+        # Blocks of 3 rounds over 7 rounds: the last block holds one round.
+        from fedopt import metrics
+
+        cms, blocks = [], []  # each round's confusion stack; each scored block's length
+
+        def evaluate(model, x, y, *rest):
+            cm = metrics.evaluate(model, x, y, *rest)
+            if rest:  # a per-round evaluation, not one of the fine-tune's
+                cms.append(cm)
+            return cm
+
+        def class_prf1(cm):
+            blocks.append(len(cm))
+            return metrics.class_prf1(cm)
+
+        cfg = small_cfg(n_clients=5, rounds=7, n_classes=n_classes)
+        monkeypatch.setattr(orchestrator, "evaluate", evaluate)
+        monkeypatch.setattr(orchestrator, "class_prf1", class_prf1)
+        monkeypatch.setattr(orchestrator, "_SCORE_CELLS", 3 * cfg.n_clients)
+        res = run_federated(cfg)
+        assert len(res.evaluated) == cfg.n_clients and blocks == [3, 3, 1]
+        expect = np.stack([
+            np.column_stack([metrics.accuracy(cm),
+                             *(m.mean(axis=-1) for m in metrics.class_prf1(cm))])
+            for cm in cms])
+        assert res.metrics.tobytes() == expect.tobytes()
+        assert all(r.metrics.tobytes() == expect[t].tobytes() for t, r in enumerate(res.rounds))
+
     def test_invalid_config_rejected_early(self):
         with pytest.raises(ValueError):
             run_federated(small_cfg(c_ratio=1.5))
