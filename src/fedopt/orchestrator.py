@@ -188,8 +188,6 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
-# At most this many (round, client) batch-order streams are derived at once.
-_STREAM_BLOCK = 4096
 # Rounds are scored a block at a time, about this many (round, client) cells
 # each: one call per block, without holding every round's confusion matrices.
 _SCORE_CELLS = 1024
@@ -243,40 +241,23 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _batch_order_states(seed: int, t: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """PCG64's seed words of `default_rng(_derived_seed(seed, 29, t[i], k[i]))` for each i.
+def _batch_order_states(seed: int, schedule: list[list[int]]) -> list[np.ndarray]:
+    """PCG64's seed words of `default_rng(_derived_seed(seed, 29, t, k))` for each k in schedule[t].
 
-    `t` and `k` are equal-length uint32 arrays; returns a (len(t), 4) uint64
-    array. SeedSequence reads `seed` as little-endian 32-bit words, one word for 0.
+    Returns one (len(schedule[t]), 4) uint64 array per round t. SeedSequence
+    reads `seed` as little-endian 32-bit words, one word for 0.
     """
+    sizes = list(map(len, schedule))
     seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.empty((len(seed_words) + 3, len(t)), dtype=np.uint32)
+    entropy = np.empty((len(seed_words) + 3, sum(sizes)), dtype=np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     entropy[-3] = 29
-    entropy[-2] = t
-    entropy[-1] = k
+    entropy[-2] = np.repeat(np.arange(len(schedule), dtype=np.uint32), sizes)
+    entropy[-1] = np.fromiter(itertools.chain.from_iterable(schedule), np.uint32, sum(sizes))
     derived = _seed_words(entropy, 1)  # each key's _derived_seed
     # PCG64 asks its seed sequence for 4 uint64: 8 words read as little-endian pairs.
-    return np.ascontiguousarray(_seed_words(derived, 8).T, dtype="<u4").view("<u8").astype(
-        np.uint64)
-
-
-def _sampled_rounds(cfg: ExperimentConfig, rng_sampling: np.random.Generator):
-    """Yields each round's (t, sampled clients, their batch-order generators by id).
-
-    Rounds are sampled, and their streams derived, a block of rounds at a
-    time; `rng_sampling` feeds nothing else, so every draw is as if per round.
-    """
-    per_block = max(1, _STREAM_BLOCK // cfg.n_clients)  # n_clients bounds a round's sample
-    for t0 in range(0, cfg.rounds, per_block):
-        block = [sample_clients(cfg.n_clients, cfg.c_ratio, rng_sampling)
-                 for _ in range(t0, min(cfg.rounds, t0 + per_block))]
-        rounds = np.repeat(np.arange(t0, t0 + len(block), dtype=np.uint32), list(map(len, block)))
-        clients = np.fromiter(itertools.chain.from_iterable(block), dtype=np.uint32)
-        states = iter(_batch_order_states(cfg.seed, rounds, clients))
-        for t, sampled in enumerate(block, t0):
-            yield t, sampled, {k: np.random.Generator(np.random.PCG64(_StateWords(next(states))))
-                               for k in sampled}
+    states = np.ascontiguousarray(_seed_words(derived, 8).T, dtype="<u4").view("<u8")
+    return np.split(states.astype(np.uint64), list(itertools.accumulate(sizes))[:-1])
 
 
 def client_local_train(
@@ -525,8 +506,6 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     init_rng = np.random.default_rng(cfg.seed + 1)
     global_params = Mlp.init_glorot(arch, init_rng).params
     server = ServerState(global_params)
-    rng_sampling = np.random.default_rng(cfg.seed + 3)
-
     x, y = ds.features, ds.labels
     opt = (None if cfg.optimized_client is None
            else _OptimizedClient(cfg, arch, parts[cfg.optimized_client], x, y))
@@ -551,8 +530,12 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     records: list[RoundRecord] = []
     client_params: dict[int, np.ndarray] = {}
 
+    # Every round is sampled, and its batch-order streams derived, before round 0.
+    rng_sampling = np.random.default_rng(cfg.seed + 3)
+    schedule = [sample_clients(cfg.n_clients, cfg.c_ratio, rng_sampling) for _ in range(cfg.rounds)]
+    batch_orders = _batch_order_states(cfg.seed, schedule)
     prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
-    for t, sampled, batch_order in _sampled_rounds(cfg, rng_sampling):
+    for t, sampled in enumerate(schedule):
         # Every sampled client with training rows trains in one lockstep call, in
         # sampled order: a naive client on all its rows, the optimized client on
         # the rows its action selected.
@@ -564,7 +547,8 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
         if opt_sampled:
             rows[cfg.optimized_client] = opt.round(server.global_params, t)
         gathered = np.concatenate(list(rows.values()))
-        rngs = [batch_order[k] for k in rows]
+        states = dict(zip(sampled, batch_orders[t]))
+        rngs = [np.random.Generator(np.random.PCG64(_StateWords(states[k]))) for k in rows]
         trained = client_local_train(
             arch, server.global_params, x.take(gathered, axis=0), y[gathered],
             cfg.local_epochs, cfg.batch_size, cfg.lr, rngs, [len(r) for r in rows.values()],

@@ -185,6 +185,20 @@ class TestParseConfig:
         assert parse_config(str(path)) == cfg
 
 
+def _fresh_quickstart(tmp_path, extra: str) -> subprocess.CompletedProcess:
+    """`fedopt run` on configs/quickstart.cfg plus `extra` in a fresh interpreter,
+    so numpy's warnings reach stderr as they do for a user."""
+    repo = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text((repo / "configs" / "quickstart.cfg").read_text() + extra)
+    return subprocess.run(
+        [sys.executable, "-m", "fedopt.cli", "run", "--config", str(cfg), "--out",
+         str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(Path(fedopt.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestCmdRun:
     def test_run_writes_artifacts(self, small_config, tmp_path):
         out = tmp_path / "out"
@@ -247,19 +261,22 @@ class TestCmdRun:
         ("5", "round 15: client 1"),  # grows huge but finite first: overflows in evaluation
     ])
     def test_diverged_quickstart_prints_only_its_error_line(self, tmp_path, lr, where):
-        # A fresh interpreter, so numpy's warnings reach stderr as they do for a user.
-        repo = Path(__file__).resolve().parents[1]
-        cfg = tmp_path / "hot.cfg"
-        cfg.write_text((repo / "configs" / "quickstart.cfg").read_text() + f"lr = {lr}\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "fedopt.cli", "run", "--config", str(cfg), "--out",
-             str(tmp_path / "o")],
-            env={**os.environ, "PYTHONPATH": str(Path(fedopt.__file__).resolve().parents[1])},
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = _fresh_quickstart(tmp_path, f"lr = {lr}\n")
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             f"ERROR:fedopt:runtime: {where}: non-finite parameters (diverged)"]
+
+    @pytest.mark.parametrize("rate,code,stderr", [
+        # The critic overflows in its first update, then the actor it steers.
+        ("critic_lr", 3,
+         ["ERROR:fedopt:runtime: round 1: client 0: non-finite fractions (diverged)"]),
+        # The actor's logits overflow, but its scaled sigmoid keeps every action finite.
+        ("actor_lr", 0, []),
+    ], ids=["critic", "actor"])
+    def test_diverged_agent_prints_only_its_error_line(self, tmp_path, rate, code, stderr):
+        proc = _fresh_quickstart(tmp_path, f"agent.batch_size = 1\nagent.{rate} = 1e300\n")
+        assert proc.returncode == code
+        assert proc.stderr.splitlines() == stderr
 
     @pytest.mark.parametrize("bad,message", [
         ("nan", "data row 5: non-finite feature"),

@@ -46,17 +46,20 @@ def _train_one(arch, w, x, y, epochs, batch_size, lr, rng, prox_mu=0.0, w_global
     return out
 
 
-def reference_client_metrics(cfg, params):
-    """A round's client_metrics from a per-client loop: one forward pass and one
-    confusion matrix per client with validation rows, one dict each."""
-    from fedopt.orchestrator import _derived_seed
-
+def run_partitions(cfg):
+    """The synthetic dataset and the client partitions run_federated builds for cfg."""
     ds = generate_synthetic(cfg.n_classes, cfg.n_per_class, cfg.feature_dim,
                             cfg.spread, cfg.seed)
-    parts = [
+    return ds, [
         train_val_split(p, cfg.split_ratio, _derived_seed(cfg.seed, 17, p.client_id))
         for p in dirichlet_partition(ds, cfg.n_clients, cfg.dirichlet_alpha, cfg.seed)
     ]
+
+
+def reference_client_metrics(cfg, params):
+    """A round's client_metrics from a per-client loop: one forward pass and one
+    confusion matrix per client with validation rows, one dict each."""
+    ds, parts = run_partitions(cfg)
     model = Mlp([cfg.feature_dim, *cfg.hidden_dims, cfg.n_classes], params)
     rows = []
     for part in parts:
@@ -496,19 +499,19 @@ class TestBatchOrderStreams:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**96)),
-           keys=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
-                         min_size=1, max_size=6))
-    def test_streams_equal_default_rng_of_derived_seed(self, seed, keys):
-        keys = [(0, 0), *keys]
-        t, k = np.array(keys, dtype=np.uint32).T
-        states = orchestrator._batch_order_states(seed, t, k)
-        assert states.shape == (len(keys), 4)
-        for (t, k), words in zip(keys, states):
-            want = np.random.default_rng(_derived_seed(seed, 29, t, k))
-            got = np.random.Generator(np.random.PCG64(orchestrator._StateWords(words)))
-            assert got.bit_generator.state == want.bit_generator.state
-            for n in (1, 7, 64):
-                assert np.array_equal(got.permutation(n), want.permutation(n))
+           schedule=st.lists(st.lists(st.integers(0, 2**32 - 1), max_size=4), max_size=6))
+    def test_streams_equal_default_rng_of_derived_seed(self, seed, schedule):
+        # Rounds of 0 to 4 clients, any client id: an empty round shifts no later one.
+        schedule = [[0], *schedule]
+        states = orchestrator._batch_order_states(seed, schedule)
+        assert [words.shape for words in states] == [(len(ks), 4) for ks in schedule]
+        for t, (ks, round_states) in enumerate(zip(schedule, states)):
+            for k, words in zip(ks, round_states):
+                want = np.random.default_rng(_derived_seed(seed, 29, t, k))
+                got = np.random.Generator(np.random.PCG64(orchestrator._StateWords(words)))
+                assert got.bit_generator.state == want.bit_generator.state
+                for n in (1, 7, 64):
+                    assert np.array_equal(got.permutation(n), want.permutation(n))
 
     @settings(max_examples=60, deadline=None)
     @given(columns=st.integers(1, 5).flatmap(lambda length: st.lists(
@@ -523,37 +526,44 @@ class TestBatchOrderStreams:
         for column, words in zip(columns, got.T):
             assert np.array_equal(words, np.random.SeedSequence(column).generate_state(n_words))
 
-    @pytest.mark.parametrize("block", [1, 8, 4096], ids=["round_a_block", "two_rounds",
-                                                          "one_block"])
-    def test_run_trains_each_client_on_its_derived_stream(self, monkeypatch, block):
-        # 4 clients: a block of 8 pairs holds 2 rounds, and 5 rounds end on a short block.
-        cfg = small_cfg(n_clients=4, c_ratio=0.5, rounds=5, seed=2**32 + 3)
-        sampled, calls, blocks = [], [], []
+    @pytest.mark.parametrize("overrides,rowless", [
+        (dict(n_clients=4, c_ratio=0.5, rounds=5, seed=0), []),
+        (dict(n_clients=4, c_ratio=0.5, rounds=5, seed=2**32 + 3), []),
+        # Client 0 trains on no stream, and shifts no other client's.
+        (dict(n_clients=6, dirichlet_alpha=0.05, n_per_class=20, seed=0, optimized_client=None),
+         [0]),
+    ], ids=["seed_0", "two_word_seed", "sampled_client_without_rows"])
+    def test_run_trains_each_client_on_its_derived_stream(self, monkeypatch, overrides, rowless):
+        cfg = small_cfg(**overrides)
+        has_rows = [p.train_size > 0 for p in run_partitions(cfg)[1]]
+        assert [k for k, rows in enumerate(has_rows) if not rows] == rowless
+        sampled, calls, derived = [], [], []
         derive = orchestrator._batch_order_states
 
         def sampling(*args):
             sampled.append(sample_clients(*args))
             return sampled[-1]
 
-        def deriving(seed, t, k):
-            blocks.append(len(t))
-            return derive(seed, t, k)
+        def deriving(seed, schedule):
+            derived.append((seed, [list(ks) for ks in schedule]))
+            return derive(seed, schedule)
 
         def training(*args):
             if len(calls) < cfg.rounds:  # the round's call, not a fine-tune epoch
                 calls.append([rng.bit_generator.state for rng in args[7]])
             return client_local_train(*args)
 
-        monkeypatch.setattr(orchestrator, "_STREAM_BLOCK", block)
         monkeypatch.setattr(orchestrator, "sample_clients", sampling)
         monkeypatch.setattr(orchestrator, "_batch_order_states", deriving)
         monkeypatch.setattr(orchestrator, "client_local_train", training)
         run_federated(cfg)
-        assert len(sampled) == len(calls) == cfg.rounds
-        assert blocks == {1: [2] * 5, 8: [4, 4, 2], 4096: [10]}[block]
+        # One derivation before round 0, over every round's sample.
+        assert derived == [(cfg.seed, sampled)]
+        assert list(map(len, sampled)) == [math.ceil(cfg.c_ratio * cfg.n_clients)] * cfg.rounds
+        assert len(calls) == cfg.rounds
         for t, (s, states) in enumerate(zip(sampled, calls)):
             assert states == [np.random.default_rng(_derived_seed(cfg.seed, 29, t, k))
-                              .bit_generator.state for k in s]
+                              .bit_generator.state for k in s if has_rows[k]]
 
 
 class TestRunFederated:
