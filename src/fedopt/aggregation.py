@@ -37,10 +37,12 @@ def _stack(updates: list[ClientUpdate]) -> np.ndarray:
 
 def fed_avg(updates: list[ClientUpdate]) -> np.ndarray:
     """Sample-size-weighted mean of client parameters."""
-    mat = _stack(updates)
-    w = np.array([u.n_samples for u in updates], dtype=np.float64)
-    w /= w.sum()
-    return (w[:, None] * mat).sum(axis=0)
+    return _weighted_mean(_stack(updates), [u.n_samples for u in updates])
+
+
+def _weighted_mean(mat: np.ndarray, n_samples: list[int]) -> np.ndarray:
+    w = np.array(n_samples, dtype=np.float64)
+    return (w[:, None] / w.sum() * mat).sum(axis=0)
 
 
 def fed_avg_m(
@@ -73,17 +75,17 @@ def fed_cda_lite(updates: list[ClientUpdate], state: ServerState, m: int) -> np.
     candidates = [p for u, cache in zip(updates, caches) for p in (*cache, u.params)]
     d = np.stack(candidates)  # unequal lengths raise ValueError
     d -= state.global_params
+    # Row k: client k's distances padded with inf, so its argmin is client k's own, NaN first.
+    counts = np.array([len(cache) + 1 for cache in caches])
+    real = np.arange(counts.max()) < counts[:, None]
+    table = np.full(real.shape, np.inf)
     # Each stacked 1x1 product is np.dot(r, r) bit for bit, so its sqrt is
     # np.linalg.norm(r); einsum and (d * d).sum can round differently.
-    dists = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
-    chosen = []
-    end = 0
+    table[real] = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
+    picks = (np.cumsum(counts) - counts + table.argmin(axis=1)).tolist()
     for u, cache in zip(updates, caches):
-        start, end = end, end + len(cache) + 1
-        pick = candidates[start + int(np.argmin(dists[start:end]))]
-        chosen.append(ClientUpdate(u.client_id, pick, u.n_samples))
         cache.append(u.params)
-    return fed_avg(chosen)
+    return _weighted_mean(np.stack([candidates[i] for i in picks]), [u.n_samples for u in updates])
 
 
 def aggregate(

@@ -46,8 +46,12 @@ def confusion(
 def class_prf1(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class precision, recall, F1, shaped (..., C); any 0/0 is 0."""
     tp = np.diagonal(cm, axis1=-2, axis2=-1).astype(np.float64)
-    fp = cm.sum(axis=-2) - tp
-    fn = cm.sum(axis=-1) - tp
+    # Column and row sums by views: integer sums are exact, and numpy reduces a short axis slowly.
+    predicted, true = cm[..., 0, :].copy(), cm[..., :, 0].copy()
+    for j in range(1, cm.shape[-1]):
+        predicted += cm[..., j, :]
+        true += cm[..., :, j]
+    fp, fn = predicted - tp, true - tp
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
         r = np.where(tp + fn > 0, tp / (tp + fn), 0.0)

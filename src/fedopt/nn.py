@@ -63,6 +63,15 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.layer_dims, self.params.copy())
 
+    def __getitem__(self, rows) -> "Mlp":
+        """The models at `rows` of a stacked Mlp, viewing its parameters; an int drops the axis."""
+        view = object.__new__(Mlp)
+        view.layer_dims, view.params = self.layer_dims, self.params[rows]
+        # From lists: each tuple(generator) would leave a new 2-tuple on CPython's free list.
+        view.weights = tuple([w[rows] for w in self.weights])
+        view.biases = tuple([b[rows] if view.params.ndim > 1 else b[rows, 0] for b in self.biases])
+        return view
+
 
 def forward(model: Mlp, x: np.ndarray, acts: list | None = None) -> np.ndarray:
     """Forward pass; a given `acts` list is refilled with the input and each layer's output."""
@@ -83,6 +92,14 @@ def forward(model: Mlp, x: np.ndarray, acts: list | None = None) -> np.ndarray:
     return h
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """logits.max(axis=-1, keepdims=True), exactly, by columns: numpy reduces short axes slowly."""
+    m = logits[..., :1].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(m, logits[..., j : j + 1], out=m)
+    return m
+
+
 def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     """Mean softmax cross-entropy; for (G, n, c) logits, G per-model means."""
     logits = np.atleast_2d(logits)
@@ -92,7 +109,7 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> float | np.nda
         raise ValueError("empty batch")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label out of range [0, {c})")
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _row_max(logits)
     log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     # Row r of the (rows, c) view picks class labels[r].
     picked = np.arange(labels.size), labels.ravel()
@@ -113,10 +130,10 @@ def cross_entropy_grad(
     """
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape[-2:]
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _row_max(logits)
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))  # log-probabilities
     d = np.exp(z, out=z)
-    d.reshape(-1, c)[np.arange(labels.size), labels.ravel()] -= 1.0
+    d -= labels[..., None] == np.arange(c)  # 1.0 at each row's label; x - 0.0 is x
     if n_real is None:
         d /= n
     else:

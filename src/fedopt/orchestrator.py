@@ -291,11 +291,11 @@ def client_local_train(
     order = sorted(range(len(sizes)), key=lambda k: -sizes[k])  # stable: largest first
     starts = list(itertools.accumulate(sizes, initial=0))
     n = [sizes[k] for k in order]
-    stack = np.repeat(np.asarray(w_init, dtype=np.float64)[None], len(n), axis=0)
+    stack = Mlp(arch, np.repeat(np.asarray(w_init, dtype=np.float64)[None], len(n), axis=0))
     # At each offset the clients with 2 or more rows left are a prefix of this
     # order and those with 1 row left come next, so each step trains one
-    # contiguous slice of the stack. A client's own steps stay in order.
-    models: dict[tuple[int, int], Mlp] = {}
+    # contiguous slice of the stack, through a view. A client's own steps stay in order.
+    views: dict[tuple[int, int], Mlp] = {}
     steps = []  # (model, its rows of the stack, batch offset, width, real rows or None)
     for i in range(0, n[0], batch_size):
         real = [min(batch_size, v - i) for v in n if v > i]
@@ -304,10 +304,10 @@ def client_local_train(
             if a == b:
                 continue
             rows = a if b - a == 1 else slice(a, b)  # a step of one client drops the client axis
-            if (a, b) not in models:
-                models[a, b] = Mlp(arch, stack[rows])
+            if (a, b) not in views:
+                views[a, b] = stack[rows]
             counts = np.array(real[rows]) if min(real[a:b]) < width else None
-            steps.append((models[a, b], rows, i, width, counts))
+            steps.append((views[a, b], rows, i, width, counts))
     # Row c holds client order[c]'s permuted rows of x; the zeros past its first
     # n[c] pad its last batch with row 0 of x.
     perm = np.zeros((len(n), -(-n[0] // batch_size) * batch_size), dtype=np.intp)
@@ -325,7 +325,7 @@ def client_local_train(
                 if prox_mu > 0.0 and w_global is not None:
                     grads += prox_mu * (model.params - w_global)
                 sgd_step(model.params, grads, lr)
-    return [stack[c].copy() for c in np.argsort(order)]
+    return [stack.params[c].copy() for c in np.argsort(order)]
 
 
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -553,9 +553,11 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
             arch, server.global_params, x.take(gathered, axis=0), y[gathered],
             cfg.local_epochs, cfg.batch_size, cfg.lr, rngs, [len(r) for r in rows.values()],
             prox, server.global_params)
+        if not np.isfinite(np.concatenate(trained)).all():  # then name the first, in sampled order
+            for k, w_k in zip(rows, trained):
+                _require_finite(f"round {t}: client {k}", parameters=w_k)
         updates = []
         for (k, rows_k), w_k in zip(rows.items(), trained):
-            _require_finite(f"round {t}: client {k}", parameters=w_k)
             client_params[k] = w_k
             updates.append(ClientUpdate(k, w_k, len(rows_k)))
         opt_fragment = opt.end_round(client_params[cfg.optimized_client]) if opt_sampled else None

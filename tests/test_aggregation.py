@@ -26,6 +26,20 @@ def cda_reference(updates, caches, g, m):
     return fed_avg(chosen)
 
 
+def cda_slice_reference(updates, caches, g, m):
+    """fed_cda_lite with one np.argmin per client's slice of the stacked distances;
+    `caches` maps ids to lists."""
+    cands = [caches.setdefault(u.client_id, []) + [u.params] for u in updates]
+    d = np.stack([p for c in cands for p in c]) - g
+    dists = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
+    chosen, end = [], 0
+    for u, c in zip(updates, cands):
+        start, end = end, end + len(c)
+        chosen.append(ClientUpdate(u.client_id, c[int(np.argmin(dists[start:end]))], u.n_samples))
+        caches[u.client_id] = c[-m:] if m else []
+    return fed_avg(chosen)
+
+
 def updates_from(mat, n=None):
     n = n or [1] * len(mat)
     return [ClientUpdate(i, np.asarray(row, dtype=float), k) for i, (row, k) in enumerate(zip(mat, n))]
@@ -178,6 +192,28 @@ class TestFedCdaLite:
                    for c in sorted(rng.choice(5, size=3, replace=False))]
             expect = cda_reference(ups, caches, g, m)
             np.testing.assert_array_equal(fed_cda_lite(ups, state, m), expect)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_padded_argmin_equals_the_per_slice_argmin(self, m):
+        # Entries from a few values make exact ties common; NaN gives NaN distances,
+        # inf and 1e200 (whose square overflows) inf ones. Clients join over the
+        # rounds, so new ones with empty caches meet ones with full caches.
+        rng = np.random.default_rng(m + 20)
+        values = [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf, -np.inf, 1e200]
+        probs = [0.22, 0.22, 0.22, 0.22, 0.03, 0.03, 0.03, 0.03]
+        state, caches = ServerState(np.zeros(4)), {}
+        for t in range(60):
+            g = rng.integers(-1, 3, size=4).astype(float)
+            state.global_params = g
+            ids = sorted(rng.choice(min(3 + t // 5, 12), size=3, replace=False).tolist())
+            ups = [ClientUpdate(c, rng.choice(values, size=4, p=probs), int(rng.integers(1, 5)))
+                   for c in ids]
+            with np.errstate(all="ignore"):
+                expect = cda_slice_reference(ups, caches, g, m)
+                got = fed_cda_lite(ups, state, m)
+            assert got.tobytes() == expect.tobytes()
+            assert {c: [id(p) for p in cache] for c, cache in state.model_cache.items()} == (
+                {c: [id(p) for p in cache] for c, cache in caches.items()})
 
 
 class TestAggregateDispatch:

@@ -54,6 +54,31 @@ class TestClassPrf1:
             np.testing.assert_allclose(q[perm], b)
 
 
+def reference_class_prf1(cm):
+    """class_prf1 with numpy's sum(axis=-2) and sum(axis=-1) for the column and row sums."""
+    tp = np.diagonal(cm, axis1=-2, axis2=-1).astype(np.float64)
+    fp = cm.sum(axis=-2) - tp
+    fn = cm.sum(axis=-1) - tp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        r = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
+    return p, r, f1
+
+
+class TestClassPrf1Exact:
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (7, 7), (1, 4, 4), (3, 2, 2),
+                                       (200, 4, 4), (5, 200, 4, 4), (2, 3, 5, 5)])
+    @pytest.mark.parametrize("high", [1, 3, 1000])
+    def test_view_sums_equal_the_reduce_form_bit_for_bit(self, shape, high):
+        # high = 1 gives all-zero matrices, high = 3 many empty rows and columns.
+        cm = np.random.default_rng([len(shape), shape[-1], high]).integers(0, high, size=shape)
+        before = cm.copy()
+        for got, want in zip(class_prf1(cm), reference_class_prf1(cm)):
+            assert got.shape == want.shape == shape[:-1] and got.tobytes() == want.tobytes()
+        assert np.array_equal(cm, before)
+
+
 class TestAccuracy:
     def test_diagonal(self):
         assert accuracy(np.diag([3, 2, 5])) == 1.0

@@ -58,6 +58,32 @@ def reference_backward(model, acts, d_logits):
     return np.concatenate(grads, axis=-1), delta
 
 
+def reference_cross_entropy_grad(logits, labels, n_real=None):
+    """cross_entropy_grad with numpy's row max and a flat fancy-index one-hot."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n, c = logits.shape[-2:]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    d = np.exp(z, out=z)
+    d.reshape(-1, c)[np.arange(labels.size), labels.ravel()] -= 1.0
+    if n_real is None:
+        d /= n
+    else:
+        d /= n_real[..., None, None]
+        d[np.arange(n) >= n_real[..., None]] = 0.0
+    return d
+
+
+def assert_same_floats(a, b):
+    """Equal bit for bit, signed zeros included; any NaN matches any NaN, because
+    IEEE 754 leaves open which NaN's sign and payload an operation returns."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a.view(np.uint64)[~nan], b.view(np.uint64)[~nan])
+
+
 def numeric_param_grad(model, x, y, h=1e-5):
     """Central finite differences of the mean cross-entropy w.r.t. params."""
     base = model.params.copy()
@@ -341,6 +367,31 @@ class TestCrossEntropy:
             assert np.all(pad == 0.0) and not np.signbit(pad).any()
 
 
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (20,)])
+    @pytest.mark.parametrize("c", [2, 3, 4, 7])
+    @pytest.mark.parametrize("kind", ["random", "ties", "special"])
+    def test_column_max_and_one_hot_equal_the_reduce_and_fancy_index_forms(self, lead, c, kind):
+        rng = np.random.default_rng([len(lead), c, len(kind)])
+        shape = (*lead, 32, c)
+        if kind == "random":
+            logits = rng.normal(scale=3.0, size=shape)
+        else:  # few distinct values, so rows tie at their max; both signs of zero
+            logits = rng.choice([-1.0, -0.0, 0.0, 2.0, 2.0], size=shape)
+        if kind == "special":  # some rows hold +-inf or NaN
+            cells = rng.random(shape) < 0.05
+            logits[cells] = rng.choice([np.inf, -np.inf, np.nan], size=cells.sum())
+        labels = rng.integers(0, c, size=shape[:-1])
+        n_real = np.array(rng.integers(1, 33, size=lead)) if lead else np.array(rng.integers(1, 33))
+        before = logits.copy()
+        with np.errstate(all="ignore"):
+            for pad in (None, n_real):
+                assert_same_floats(cross_entropy_grad(logits, labels, pad),
+                                   reference_cross_entropy_grad(logits, labels, pad))
+            assert_same_floats(cross_entropy_loss(logits, labels),
+                               reference_cross_entropy(logits, labels)[0])
+        assert logits.tobytes() == before.tobytes()
+
+
 class TestBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(3)
@@ -420,6 +471,35 @@ class TestSgdStep:
         assert m.weights[0] is weight0
         np.testing.assert_array_equal(weight0, stack[1:3, :12].reshape(2, 3, 4))
 
+
+    @pytest.mark.parametrize("rows", [0, 2, slice(0, 1), slice(1, 4), slice(0, 4)],
+                             ids=["int_first", "int", "slice_of_1", "slice", "slice_all"])
+    def test_step_view_shares_the_stack_and_equals_a_built_model(self, rows):
+        dims = [3, 5, 2]
+        rng = np.random.default_rng(11)
+        stack = np.stack([Mlp.init_glorot(dims, rng).params for _ in range(4)])
+        view, built = Mlp(dims, stack)[rows], Mlp(dims, stack[rows].copy())
+        lead = stack[rows].shape[:-1]
+        x = rng.normal(size=(*lead, 6, 3))
+        y = rng.integers(0, 2, size=(*lead, 6))
+        assert view.layer_dims == dims and view.params.shape == stack[rows].shape
+        assert all(np.shares_memory(a, stack) for a in (view.params, *view.weights, *view.biases))
+        acts_v, acts_b = [], []
+        logits = forward(view, x, acts_v)
+        assert np.array_equal(logits, forward(built, x, acts_b))
+        d = cross_entropy_grad(logits, y)
+        grads = backward(view, acts_v, d)
+        assert np.array_equal(grads, backward(built, acts_b, d))
+        assert np.array_equal(input_grad(view, acts_v, d), input_grad(built, acts_b, d))
+        before = stack.copy()
+        sgd_step(view.params, grads, 0.5)
+        sgd_step(built.params, grads, 0.5)
+        assert np.array_equal(stack[rows], built.params)
+        others = np.ones(4, dtype=bool)
+        others[rows] = False
+        assert np.array_equal(stack[others], before[others])
+        assert all(np.array_equal(a, b) for a, b in zip(view.weights + view.biases,
+                                                        built.weights + built.biases))
 
 
 class TestClientStack:

@@ -683,6 +683,43 @@ class TestRunFederated:
         assert [np.isfinite(w).all() for w in outputs[0]] == [True, True, False, True, False, True]
         assert not out.exists()
 
+    @pytest.mark.parametrize("first,second", [(1, 3), (0, 2), (2, 3)])
+    def test_two_non_finite_clients_name_the_first_in_sampled_order(self, monkeypatch, first,
+                                                                     second):
+        cfg = small_cfg(n_clients=8, c_ratio=0.5, rounds=3, n_per_class=80)
+        rng = np.random.default_rng(cfg.seed + 3)
+        schedule = [sample_clients(8, 0.5, rng) for _ in range(3)]
+        sizes = []
+
+        def poisoned(*args, **kwargs):
+            out = client_local_train(*args, **kwargs)
+            if len(sizes) == 1:  # round 1: inf in the later client, NaN in the earlier
+                out[second][0] = np.inf
+                out[first][-1] = np.nan
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(orchestrator, "client_local_train", poisoned)
+        client = schedule[1][first]
+        with pytest.raises(ValueError,
+                           match=rf"^round 1: client {client}: non-finite parameters \(diverged\)$"):
+            run_federated(cfg)
+        assert sizes == [4, 4]  # every sampled client trained, in sampled order
+
+    def test_finite_rounds_check_no_client_on_its_own(self, monkeypatch):
+        checked = []
+
+        def spy(where, **values):
+            checked.append((where, *values))
+            _require_finite(where, **values)
+
+        monkeypatch.setattr(orchestrator, "_require_finite", spy)
+        cfg = small_cfg(n_clients=5, rounds=3, finetune_max_epochs=2)
+        run_federated(cfg)
+        assert [w for w, *names in checked if "parameters" in names] == [
+            "round 0: server", "round 1: server", "round 2: server",
+            "fine-tune epoch 1", "fine-tune epoch 2"]
+
     def test_non_finite_optimized_client_exits_3_naming_it(self, monkeypatch, tmp_path, caplog):
         from fedopt import orchestrator
         from fedopt.cli import main
