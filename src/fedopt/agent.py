@@ -109,9 +109,6 @@ class ActorCritic:
         return self.cfg.b_l + (self.cfg.b_u - self.cfg.b_l) * _sigmoid(forward(actor, states))
 
 
-# A diverging agent overflows to inf and NaN in these passes; the caller's
-# finite check on the fractions reports it, so numpy's warnings would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
 def policy_action(ac: ActorCritic, state: np.ndarray) -> np.ndarray:
     """Deterministic actor output for a per-class F1 state, every coordinate in [b_l, b_u]."""
     if state.shape != (ac.n_classes,):
@@ -162,7 +159,6 @@ def epsilon_greedy_select(
     return greedy
 
 
-@np.errstate(over="ignore", invalid="ignore")  # see policy_action
 def critic_update(ac: ActorCritic, batch: tuple) -> float:
     """One MSE step toward the one-step bootstrapped target; returns pre-step loss.
 
@@ -188,7 +184,6 @@ def critic_update(ac: ActorCritic, batch: tuple) -> float:
 critic_update_nstep = critic_update
 
 
-@np.errstate(over="ignore", invalid="ignore")  # see policy_action
 def actor_update(ac: ActorCritic, states: np.ndarray) -> float:
     """One ascent step on mean Q(s, actor(s)) over `states`; critic stays frozen."""
     if len(states) == 0:

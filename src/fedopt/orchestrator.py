@@ -160,8 +160,8 @@ def compute_performance_bound(
     """
     big = np.asarray(z_full, dtype=np.float64)
     small = np.asarray(z_selected, dtype=np.float64)
-    if big.shape != small.shape:
-        raise ValueError("radius vector length mismatch")
+    if big.shape != small.shape or big.size == 0:
+        raise ValueError("need two radius vectors of one length, at least 1")
     if not np.all((0 <= small) & (small <= big) & (big <= 1)):  # NaN fails too
         raise ValueError("need 0 <= z_c <= Z_c <= 1")
     p_full = math.pi * float(np.sum(big**2))
@@ -312,25 +312,21 @@ def client_local_train(
     # n[c] pad its last batch with row 0 of x.
     perm = np.zeros((len(n), -(-n[0] // batch_size) * batch_size), dtype=np.intp)
     acts: list = []  # each step's forward pass refills it
-    # A diverging client overflows to inf and NaN here; the caller's finite
-    # check reports it, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(epochs):
-            for c, k in enumerate(order):
-                np.add(starts[k], rngs[k].permutation(n[c]), out=perm[c, : n[c]])
-            for model, rows, i, width, counts in steps:
-                batch = perm[rows, i : i + width]
-                logits = forward(model, x.take(batch, axis=0), acts)
-                grads = backward(model, acts, cross_entropy_grad(logits, y[batch], counts))
-                if prox_mu > 0.0 and w_global is not None:
-                    grads += prox_mu * (model.params - w_global)
-                sgd_step(model.params, grads, lr)
+    for _ in range(epochs):
+        for c, k in enumerate(order):
+            np.add(starts[k], rngs[k].permutation(n[c]), out=perm[c, : n[c]])
+        for model, rows, i, width, counts in steps:
+            batch = perm[rows, i : i + width]
+            logits = forward(model, x.take(batch, axis=0), acts)
+            grads = backward(model, acts, cross_entropy_grad(logits, y[batch], counts))
+            if prox_mu > 0.0 and w_global is not None:
+                grads += prox_mu * (model.params - w_global)
+            sgd_step(model.params, grads, lr)
     return [stack.params[c].copy() for c in np.argsort(order)]
 
 
 def dataset_loss(arch: list[int], params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller's finite check reports it
-        return cross_entropy_loss(forward(Mlp(arch, params), x), y)
+    return cross_entropy_loss(forward(Mlp(arch, params), x), y)
 
 
 def post_fl_finetune(
@@ -483,12 +479,14 @@ class _OptimizedClient:
             np.random.default_rng(_derived_seed(cfg.seed, 53)))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_federated(cfg: ExperimentConfig) -> RunResult:
     """Execute the full FL simulation plus post-FL fine-tuning.
 
     Each round stops a diverged run at the first of these checks to fail: the
     optimized client's fractions, before training; every sampled client's
     parameters, in sampled order; the optimized client's losses and reward.
+    numpy's floating-point warnings are off for the run: they would only repeat that error.
     """
     cfg.validate()
     if cfg.dataset_csv:

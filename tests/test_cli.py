@@ -673,6 +673,12 @@ class TestCmdBound:
     def test_length_mismatch_usage_error(self):
         assert main(["bound", "--Z", "1,1", "--z", "0.5"]) == 1
 
+    @pytest.mark.parametrize("empty", ["", ",", " , "])
+    def test_empty_vectors_are_a_usage_error(self, empty, capsys, caplog):
+        assert main(["bound", "--Z", empty, "--z", empty]) == 1
+        assert capsys.readouterr().out == ""
+        assert "bound: need two radius vectors of one length, at least 1" in caplog.text
+
     @pytest.mark.parametrize("big,small", [("nan,0.5", "0.1,0.2"), ("0.5,0.5", "0.1,nan"),
                                            ("nan", "nan")])
     def test_nan_radius_is_a_usage_error(self, big, small, capsys, caplog):

@@ -3,6 +3,8 @@ import gc
 import itertools
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +458,8 @@ class TestPerformanceBound:
             compute_performance_bound(np.array([0.5]), np.array([0.6]))
         with pytest.raises(ValueError):
             compute_performance_bound(np.array([1.0, 1.0]), np.array([0.5]))
+        with pytest.raises(ValueError, match="at least 1"):
+            compute_performance_bound(np.array([]), np.array([]))
 
     @pytest.mark.parametrize("big,small", [([np.nan, 0.5], [0.1, 0.2]), ([0.5, 0.5], [0.1, np.nan]),
                                            ([np.nan], [np.nan]), ([0.5], [-np.nan])])
@@ -956,3 +960,48 @@ class TestRunFederated:
         cfg = ExperimentConfig(n_clients=20, n_per_class=5, dirichlet_alpha=0.05, seed=seed)
         with pytest.raises(ValueError, match=f"^client 0: the optimized client has no {split} rows"):
             run_federated(cfg)
+
+
+def _quickstart(**changes) -> ExperimentConfig:
+    """configs/quickstart.cfg with `changes` applied; "agent_" keys set the agent's."""
+    from fedopt.config import parse_config
+
+    cfg = parse_config(str(Path(__file__).resolve().parents[1] / "configs" / "quickstart.cfg"))
+    for key, value in changes.items():
+        owner, name = (cfg.agent, key[6:]) if key.startswith("agent_") else (cfg, key)
+        setattr(owner, name, value)
+    return cfg
+
+
+class TestRunBoundary:
+    """run_federated keeps numpy's floating-point warnings out of a run and
+    leaves its caller's error state as it found it."""
+
+    @pytest.mark.parametrize("changes,error", [
+        # The actor's logits overflow, but its scaled sigmoid keeps every action finite.
+        (dict(agent_batch_size=1, agent_actor_lr=1e300), None),
+        (dict(lr=5.0), "round 15: client 1: non-finite parameters"),
+    ], ids=["returns", "diverges"])
+    def test_restores_the_callers_error_state(self, changes, error):
+        # Under "raise", any overflow the run let through would raise FloatingPointError.
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            outer = np.geterr()
+            if error is None:
+                run_federated(_quickstart(**changes))
+            else:
+                with pytest.raises(ValueError, match=error):
+                    run_federated(_quickstart(**changes))
+            assert np.geterr() == outer
+
+    @pytest.mark.parametrize("changes,error", [
+        # Huge but finite parameters overflow in the per-round evaluation first.
+        (dict(lr=5.0), r"^round 15: client 1: non-finite parameters \(diverged\)$"),
+        # The critic overflows in its first update, then the actor it steers.
+        (dict(agent_batch_size=1, agent_critic_lr=1e300),
+         r"^round 1: client 0: non-finite fractions \(diverged\)$"),
+    ], ids=["lr", "critic"])
+    def test_diverged_run_raises_only_its_error(self, changes, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=error):
+                run_federated(_quickstart(**changes))
