@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, emit_config, parse_config
+from .config import emit_config, parse_config
 from .orchestrator import (
     METRICS,
     ExperimentConfig,
@@ -37,7 +37,7 @@ def _atomic_write(path: Path, *texts: str) -> None:
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(texts)
         os.replace(tmp, path)
     except BaseException:
@@ -137,16 +137,12 @@ def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> N
 def cmd_run(args) -> int:
     try:
         cfg = ExperimentConfig() if args.config is None else parse_config(args.config)
-    except (ConfigError, OSError) as exc:
-        log.error("config: %s", exc)
-        return EXIT_CONFIG
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.ablation_naive_all:
-        cfg.optimized_client = None
-    try:
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.ablation_naive_all:
+            cfg.optimized_client = None
         cfg.validate()
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         log.error("config: %s", exc)
         return EXIT_CONFIG
     try:
@@ -161,7 +157,7 @@ def cmd_run(args) -> int:
 
 def _read_jsonl(path: Path) -> list[dict]:
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -183,8 +179,8 @@ def cmd_plot_data(args) -> int:
         cfg_path = rounds_path.parent / "config.resolved.cfg"
         try:
             opt_id = parse_config(str(cfg_path)).optimized_client
-        except ConfigError as exc:
-            raise ConfigError(f"{cfg_path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{cfg_path}: {exc}") from None
         shown_id = args.optimized_client if opt_id is None else opt_id
         texts = {"accuracy.csv": _csv("round,naive_mean_acc,optimized_acc", (
             f"{t},{naive['accuracy']:.6f},{(row['accuracy'] if row else float('nan')):.6f}"
@@ -198,7 +194,7 @@ def cmd_plot_data(args) -> int:
             source = ft_path
             texts["finetune.csv"] = _csv("epoch,finetune_acc", (
                 f"{e['epoch']},{e['val_accuracy']:.6f}" for e in _read_jsonl(ft_path)))
-    except (OSError, ValueError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         log.error("plot-data: %s", exc)
         return EXIT_RUNTIME
     except (KeyError, TypeError, AttributeError) as exc:
@@ -235,7 +231,7 @@ def cmd_bound(args) -> int:
 def cmd_validate_config(args) -> int:
     try:
         cfg = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         log.error("config: %s", exc)
         return EXIT_CONFIG
     sys.stdout.write(emit_config(cfg))

@@ -5,7 +5,7 @@ lines ignored. The keys are the fields of `ExperimentConfig`, in field
 order; the fields of its `agent` and `reward` sections take a dotted
 prefix (`agent.gamma = 0.99`). Each value is parsed by its field's
 annotation. Unknown keys are rejected; missing keys take the dataclass
-defaults.
+defaults. Files are UTF-8; every problem with one raises ValueError.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ import dataclasses
 import math
 
 from .orchestrator import ExperimentConfig
-
-
-class ConfigError(Exception):
-    pass
 
 
 # File spellings of fields whose name cannot be used (`lambda` is a keyword).
@@ -61,26 +57,23 @@ def _keys(cfg, prefix: str = ""):
 def parse_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     schema = {key: (owner, f) for key, owner, f in _keys(cfg)}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {i}: expected 'key = value', got {line!r}")
+            raise ValueError(f"line {i}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in schema:
-            raise ConfigError(f"line {i}: unknown key {key!r}")
+            raise ValueError(f"line {i}: unknown key {key!r}")
         owner, f = schema[key]
         try:
             setattr(owner, f.name, _parser(f.type)(value))
         except ValueError:
-            raise ConfigError(f"line {i}: invalid value {value!r} for key {key!r}") from None
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            raise ValueError(f"line {i}: invalid value {value!r} for key {key!r}") from None
+    cfg.validate()
     return cfg
 
 

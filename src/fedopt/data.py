@@ -72,10 +72,10 @@ def load_csv(path: str) -> LabeledDataset:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         try:
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
+            raw = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
         except ValueError as exc:  # a header row, a word, a ragged row
             # Data rows are the lines loadtxt reads: not blank once comments are cut.
-            with open(path, errors="replace") as fh:
+            with open(path, encoding="utf-8", errors="replace") as fh:
                 cols = [r.count(",") + 1 for line in fh if (r := line.split("#")[0].strip())]
             bad = [i for i, c in enumerate(cols) if c != cols[0]]
             if bad:

@@ -14,7 +14,7 @@ import pytest
 import fedopt
 
 from fedopt.cli import _atomic_write, _bests, _per_round, _write_outputs, main
-from fedopt.config import ConfigError, emit_config, parse_config
+from fedopt.config import emit_config, parse_config
 from fedopt.orchestrator import ExperimentConfig, RoundRecord, RunResult, run_federated
 from tests.test_orchestrator import reference_client_metrics
 
@@ -58,19 +58,19 @@ class TestParseConfig:
     def test_out_of_range_names_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("c_ratio = 1.5\n")
-        with pytest.raises(ConfigError, match="c_ratio"):
+        with pytest.raises(ValueError, match="c_ratio"):
             parse_config(str(path))
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("rounds = 5\nbogus_key = 1\n")
-        with pytest.raises(ConfigError, match="line 2.*bogus_key"):
+        with pytest.raises(ValueError, match="line 2.*bogus_key"):
             parse_config(str(path))
 
     def test_bad_value_names_key_and_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("rounds = many\n")
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             parse_config(str(path))
 
     def test_comments_and_sections(self, tmp_path):
@@ -88,7 +88,7 @@ class TestParseConfig:
     def test_non_positive_step_settings_rejected(self, tmp_path, line, key):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=key):
             parse_config(str(path))
         assert main(["validate-config", "--config", str(path)]) == 2
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -125,7 +125,7 @@ class TestParseConfig:
     def test_values_that_fail_at_run_time_are_rejected(self, tmp_path, line, key):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=key):
             parse_config(str(path))
         assert main(["validate-config", "--config", str(path)]) == 2
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -159,7 +159,7 @@ class TestParseConfig:
     def test_old_seed_keys_are_unknown(self, tmp_path, caplog, key):
         path = tmp_path / "old.cfg"
         path.write_text(f"{key} = 5\n")
-        with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+        with pytest.raises(ValueError, match=f"line 1: unknown key '{key}'"):
             parse_config(str(path))
         assert main(["validate-config", "--config", str(path)]) == 2
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -185,18 +185,23 @@ class TestParseConfig:
         assert parse_config(str(path)) == cfg
 
 
+def _fresh_cli(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """`fedopt` with `argv` in a fresh interpreter, with `env` added to the
+    environment, so warnings, tracebacks and log lines reach stderr as they do
+    for a user."""
+    return subprocess.run(
+        [sys.executable, "-m", "fedopt.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(fedopt.__file__).resolve().parents[1]), **env},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def _fresh_quickstart(tmp_path, extra: str) -> subprocess.CompletedProcess:
-    """`fedopt run` on configs/quickstart.cfg plus `extra` in a fresh interpreter,
-    so numpy's warnings reach stderr as they do for a user."""
+    """`fedopt run` on configs/quickstart.cfg plus `extra` in a fresh interpreter."""
     repo = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "hot.cfg"
     cfg.write_text((repo / "configs" / "quickstart.cfg").read_text() + extra)
-    return subprocess.run(
-        [sys.executable, "-m", "fedopt.cli", "run", "--config", str(cfg), "--out",
-         str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": str(Path(fedopt.__file__).resolve().parents[1])},
-        capture_output=True, text=True, timeout=120,
-    )
+    return _fresh_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
 
 
 class TestCmdRun:
@@ -582,6 +587,17 @@ class TestCmdPlotData:
                          caplog.text)
         assert not plots.exists()
 
+    def test_non_utf8_run_config_exits_3_naming_it(self, small_config, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+        cfg = out / "config.resolved.cfg"
+        cfg.write_bytes(cfg.read_bytes() + b"\xff\xfe")
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--rounds", str(out / "rounds.jsonl"),
+                     "--out", str(plots)]) == 3
+        assert f"plot-data: {cfg}: 'utf-8' codec can't decode byte 0xff" in caplog.text
+        assert not plots.exists()
+
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "rounds.jsonl"
         bad.write_text('{"round": 0}\nnot json\n')
@@ -648,12 +664,7 @@ class TestLogLevel:
 
     def test_unknown_level_prints_one_line_and_no_traceback(self, small_config):
         # A fresh interpreter: the root logger has no handler yet.
-        src = str(Path(fedopt.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "fedopt.cli", "validate-config", "--config", str(small_config)],
-            env={**os.environ, "FEDOPT_LOG": "verbose", "PYTHONPATH": src},
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = _fresh_cli("validate-config", "--config", str(small_config), FEDOPT_LOG="verbose")
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.splitlines() == [
             "ERROR:fedopt:FEDOPT_LOG=verbose is not a log level"
@@ -696,3 +707,44 @@ class TestValidateConfig:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["validate-config", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+# The C locale without Python's UTF-8 mode or locale coercion: open()'s
+# default encoding is ASCII there.
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+class TestTextEncoding:
+    """Config and CSV files are read as UTF-8 whatever the locale; a config
+    file that is not UTF-8 is a config error."""
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"rounds = 3\n\xff\xfe")
+        out = tmp_path / "o"
+        argv = ["--out", str(out)] if command == "run" else []
+        proc = _fresh_cli(command, "--config", str(cfg), *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "ERROR:fedopt:config: 'utf-8' codec can't decode byte 0xff in position 11:"
+            " invalid start byte"
+        ]
+        assert not out.exists()
+
+    def test_utf8_config_validates_in_the_c_locale(self, small_config):
+        small_config.write_text("# café\n" + SMALL, encoding="utf-8")
+        proc = _fresh_cli("validate-config", "--config", str(small_config), **C_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == emit_config(parse_config(str(small_config)))
+
+    def test_utf8_csv_loads_in_the_c_locale(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("# café\n" + "".join(f"{i % 3}.5,{i}.0,{i % 2}\n" for i in range(40)),
+                        encoding="utf-8")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"dataset_csv = {data}\nn_clients = 2\nrounds = 2\ndirichlet_alpha = 100\n")
+        out = tmp_path / "o"
+        proc = _fresh_cli("run", "--config", str(cfg), "--out", str(out), **C_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(strict_json_lines(out / "rounds.jsonl")) == 2

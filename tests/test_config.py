@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fedopt.agent import ACTION_STRATEGIES
 from fedopt.aggregation import STRATEGIES
 from fedopt.cli import main
-from fedopt.config import ConfigError, _fmt, _keys, _parser, emit_config, parse_config
+from fedopt.config import _fmt, _keys, _parser, emit_config, parse_config
 from fedopt.orchestrator import ExperimentConfig
 
 ANNOTATIONS = {key: f.type for key, _, f in _keys(ExperimentConfig())}
@@ -72,12 +72,12 @@ class TestSchema:
 
     def test_lambda_is_the_file_spelling_of_lam(self, tmp_path):
         assert parse_config(write(tmp_path, "reward.lambda = 0.4\n")).reward.lam == 0.4
-        with pytest.raises(ConfigError, match="line 1: unknown key 'reward.lam'"):
+        with pytest.raises(ValueError, match="line 1: unknown key 'reward.lam'"):
             parse_config(write(tmp_path, "reward.lam = 0.4\n"))
 
     @pytest.mark.parametrize("line", ["agent = 1", "agent.validate = 1", "reward. = 1"])
     def test_section_names_and_methods_are_not_keys(self, tmp_path, line):
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(ValueError, match="unknown key"):
             parse_config(write(tmp_path, line + "\n"))
 
     @pytest.mark.parametrize("line,value", [
@@ -93,7 +93,7 @@ class TestSchema:
                                       "hidden_dims = 8,x", "agent.eta = none"])
     def test_none_and_bad_numbers_rejected_for_required_fields(self, tmp_path, line):
         key = line.split("=")[0].strip()
-        with pytest.raises(ConfigError, match=f"line 1: invalid value .* for key '{key}'"):
+        with pytest.raises(ValueError, match=f"line 1: invalid value .* for key '{key}'"):
             parse_config(write(tmp_path, line + "\n"))
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
@@ -101,11 +101,42 @@ class TestSchema:
         floats = [key for key, annotation in ANNOTATIONS.items() if "float" in annotation]
         assert len(floats) == 17
         for key in floats:
-            with pytest.raises(ConfigError, match=f"invalid value .* for key '{key}'"):
+            with pytest.raises(ValueError, match=f"invalid value .* for key '{key}'"):
                 parse_config(write(tmp_path, f"{key} = {value}\n"))
 
 
 # -- fuzzing --------------------------------------------------------------
+
+# Arbitrary bytes, and `key = <arbitrary bytes>` lines that reach the value parsers.
+_CONFIG_BYTES = st.one_of(
+    st.binary(),
+    st.lists(st.tuples(st.sampled_from(KEYS), st.binary(max_size=12)), max_size=4).map(
+        lambda lines: b"".join(key.encode() + b" = " + value + b"\n" for key, value in lines)),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_CONFIG_BYTES)
+def test_arbitrary_bytes_parse_or_exit_2_with_one_line(text, tmp_path, capsys, caplog):
+    """Any file parses to a config, which validate-config echoes (exit 0), or
+    raises ValueError or OSError, which validate-config reports in one
+    `config:` line (exit 2). A drawn config is never run: it may be huge."""
+    path = tmp_path / "drawn.cfg"
+    path.write_bytes(text)
+    try:
+        echo, code = emit_config(parse_config(str(path))), 0
+    except (ValueError, OSError):
+        echo, code = "", 2
+    caplog.clear()
+    assert main(["validate-config", "--config", str(path)]) == code
+    assert capsys.readouterr().out == echo
+    messages = [r.getMessage() for r in caplog.records]
+    if code == 2:
+        assert len(messages) == 1 and messages[0].startswith("config: "), messages
+    else:
+        assert messages == []
+
 
 # Tiny runs: the drawn values below never exceed 4 clients or 3 rounds.
 BASE = """n_clients = 4
