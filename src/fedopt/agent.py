@@ -65,14 +65,13 @@ class ReplayBuffer:
         self._actions = np.empty((capacity, dim))
         self._rewards = np.empty(capacity)
         self._next_states = np.empty((capacity, dim))
-        self._terminals = np.empty(capacity, dtype=bool)
         self._pushes = 0
         self._rng = np.random.default_rng(seed)
 
-    def push(self, state, action, reward: float, next_state, terminal: bool) -> None:
+    def push(self, state, action, reward: float, next_state) -> None:
         p = self._pushes
         self._states[p], self._actions[p], self._rewards[p] = state, action, reward
-        self._next_states[p], self._terminals[p] = next_state, terminal
+        self._next_states[p] = next_state
         self._pushes += 1
 
     def __len__(self) -> int:
@@ -80,13 +79,13 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int):
         """Up to `batch_size` distinct transitions, drawn without replacement, as the
-        stacked arrays (states, actions, rewards, next_states, terminal 0.0/1.0)."""
+        stacked arrays (states, actions, rewards, next_states)."""
         n = len(self)
         if n == 0:
             raise ValueError("empty replay buffer")
         picks = self._rng.choice(n, size=min(batch_size, n), replace=False)
         return (self._states[picks], self._actions[picks], self._rewards[picks],
-                self._next_states[picks], self._terminals[picks].astype(np.float64))
+                self._next_states[picks])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -164,12 +163,12 @@ def critic_update(ac: ActorCritic, batch: tuple) -> float:
 
     `batch` is the tuple returned by `ReplayBuffer.sample`.
     """
-    states, actions, rewards, next_states, terminal = batch
+    states, actions, rewards, next_states = batch
     if len(states) == 0:
         raise ValueError("empty batch")
     next_a = ac._act(ac.actor_target, next_states)
     q_next = forward(ac.critic_target, np.hstack([next_states, next_a]))[:, 0]
-    target = rewards + ac.cfg.gamma * (1.0 - terminal) * q_next
+    target = rewards + ac.cfg.gamma * q_next
     acts: list = []
     q = forward(ac.critic, np.hstack([states, actions]), acts)[:, 0]
     err = q - target

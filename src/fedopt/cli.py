@@ -157,13 +157,13 @@ def cmd_run(args) -> int:
 
 def _read_jsonl(path: Path) -> list[dict]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded line by line, so a decode error names its line
         for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                text = line.decode("utf-8")
+                if text.strip():
+                    rows.append(json.loads(text))
+            except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
                 raise ValueError(f"{path}:{i}: {exc}") from None
     return rows
 
@@ -194,6 +194,10 @@ def cmd_plot_data(args) -> int:
             source = ft_path
             texts["finetune.csv"] = _csv("epoch,finetune_acc", (
                 f"{e['epoch']},{e['val_accuracy']:.6f}" for e in _read_jsonl(ft_path)))
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            _atomic_write(out_dir / name, text)
     except (OSError, ValueError) as exc:
         log.error("plot-data: %s", exc)
         return EXIT_RUNTIME
@@ -201,10 +205,6 @@ def cmd_plot_data(args) -> int:
         # Valid JSON, but not the record fedopt writes: a key is missing or has the wrong type.
         log.error("plot-data: %s: malformed record (%s: %s)", source, type(exc).__name__, exc)
         return EXIT_RUNTIME
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        _atomic_write(out_dir / name, text)
     print(f"wrote plot data to {out_dir}")
     return EXIT_OK
 

@@ -368,7 +368,8 @@ def post_fl_finetune(
 
 
 class _OptimizedClient:
-    """The optimized client end to end: RL rounds, terminal transition, fine-tune."""
+    """The optimized client end to end: RL rounds, then the fine-tune. The run is the
+    agent's one episode: it learns only at the start of a round in which it is sampled."""
 
     def __init__(self, cfg: ExperimentConfig, arch: list[int], part, x: np.ndarray, y: np.ndarray):
         # Its state needs training rows and its fine-tune validation rows.
@@ -386,13 +387,6 @@ class _OptimizedClient:
         self.states: list[np.ndarray] = []  # the state of each round in history.rounds
         self.pending: tuple[np.ndarray, np.ndarray, float] | None = None
         self.picked: tuple | None = None  # round's (t, state, l_agg, fractions, rows) for end_round
-
-    def _complete_pending(self, next_state: np.ndarray, terminal: bool = False) -> None:
-        if self.pending is None:
-            return
-        self.buffer.push(*self.pending, next_state, terminal)
-        self.pending = None
-        self._learn()
 
     def _learn(self) -> None:
         cfg = self.cfg.agent
@@ -414,7 +408,10 @@ class _OptimizedClient:
         """Pick round t's per-class fractions; returns the training rows they select."""
         cfg, part = self.cfg, self.part
         state, l_agg = compute_state(w_global, self.arch, self.xt, self.yt)
-        self._complete_pending(state)
+        if self.pending is not None:
+            self.buffer.push(*self.pending, state)
+            self.pending = None
+            self._learn()
 
         if cfg.action_strategy == "full":
             fractions = np.ones(part.n_classes)
@@ -469,10 +466,8 @@ class _OptimizedClient:
         }
 
     def finish(self, w_global: np.ndarray) -> tuple[np.ndarray, list[dict]]:
-        """Push the terminal transition; returns post_fl_finetune's (params, trace)."""
+        """Fine-tune from the final global params; returns post_fl_finetune's (params, trace)."""
         cfg, val = self.cfg, self.part.val_indices
-        state, _ = compute_state(w_global, self.arch, self.xt, self.yt)
-        self._complete_pending(state, terminal=True)
         return post_fl_finetune(
             self.arch, w_global, self.xt, self.yt, self.x[val], self.y[val], cfg.batch_size,
             cfg.lr, cfg.finetune_patience, cfg.finetune_max_epochs,

@@ -26,7 +26,7 @@ def make_ac(n_classes=3, seed=0, **overrides):
     return ActorCritic(n_classes, cfg, np.random.default_rng(seed))
 
 
-def random_batch(n, n_classes, seed=0, terminal=False):
+def random_batch(n, n_classes, seed=0):
     """Batch as `ReplayBuffer.sample` stacks it."""
     rng = np.random.default_rng(seed)
     rows = [
@@ -34,8 +34,7 @@ def random_batch(n, n_classes, seed=0, terminal=False):
          rng.uniform(0, 1, n_classes))
         for _ in range(n)
     ]
-    states, actions, rewards, next_states = (np.array(col) for col in zip(*rows))
-    return states, actions, rewards, next_states, np.full(n, float(terminal))
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 def empty_batch(n_classes=3):
@@ -177,27 +176,9 @@ class TestEpsilonGreedy:
 
 
 class TestCriticUpdate:
-    def test_terminal_ignores_gamma(self):
-        batch = random_batch(8, 3, seed=3, terminal=True)
-        ac1 = make_ac(seed=5, gamma=0.99)
-        ac2 = make_ac(seed=5, gamma=1e-9)
-        l1 = critic_update(ac1, batch)
-        l2 = critic_update(ac2, batch)
-        assert l1 == pytest.approx(l2)
-        np.testing.assert_allclose(ac1.critic.params, ac2.critic.params)
-
-    def test_tiny_gamma_matches_terminal(self):
-        batch_t = random_batch(8, 3, seed=4, terminal=True)
-        batch_n = random_batch(8, 3, seed=4, terminal=False)
-        ac1 = make_ac(seed=6, gamma=1e-15)
-        ac2 = make_ac(seed=6, gamma=1e-15)
-        critic_update(ac1, batch_t)
-        critic_update(ac2, batch_n)
-        np.testing.assert_allclose(ac1.critic.params, ac2.critic.params, atol=1e-10)
-
     def test_overfit_one_batch(self):
         ac = make_ac(seed=7, critic_lr=0.05)
-        batch = random_batch(16, 3, seed=8, terminal=True)
+        batch = random_batch(16, 3, seed=8)
         losses = [critic_update(ac, batch) for _ in range(50)]
         assert losses[-1] < losses[0]
 
@@ -313,15 +294,14 @@ class TestSoftUpdate:
 
 
 class _ListBuffer:
-    """Reference replay buffer: a list of (state, action, reward, next_state,
-    terminal) tuples."""
+    """Reference replay buffer: a list of (state, action, reward, next_state) tuples."""
 
     def __init__(self, seed=0):
         self._items = []
         self._rng = np.random.default_rng(seed)
 
-    def push(self, state, action, reward, next_state, terminal):
-        self._items.append((state, action, reward, next_state, terminal))
+    def push(self, state, action, reward, next_state):
+        self._items.append((state, action, reward, next_state))
 
     def sample(self, batch_size):
         n = len(self._items)
@@ -332,7 +312,6 @@ class _ListBuffer:
             np.stack([tr[1] for tr in picked]),
             np.array([tr[2] for tr in picked]),
             np.stack([tr[3] for tr in picked]),
-            np.array([tr[4] for tr in picked], dtype=np.float64),
         )
 
 
@@ -341,7 +320,7 @@ class TestReplayBuffer:
         def fill(seed):
             buf = ReplayBuffer(50, 1, seed=seed)
             for i in range(20):
-                buf.push(np.array([float(i)]), np.ones(1), 0.0, np.zeros(1), False)
+                buf.push(np.array([float(i)]), np.ones(1), 0.0, np.zeros(1))
             return buf.sample(8)[0][:, 0].tolist()
 
         assert fill(3) == fill(3)
@@ -352,9 +331,9 @@ class TestReplayBuffer:
         # one transition a round would fail loudly.
         buf = ReplayBuffer(2, 1)
         for _ in range(2):
-            buf.push(np.zeros(1), np.ones(1), 0.0, np.zeros(1), False)
+            buf.push(np.zeros(1), np.ones(1), 0.0, np.zeros(1))
         with pytest.raises(IndexError):
-            buf.push(np.zeros(1), np.ones(1), 0.0, np.zeros(1), False)
+            buf.push(np.zeros(1), np.ones(1), 0.0, np.zeros(1))
         assert len(buf) == 2
 
     def test_sample_empty(self):
@@ -365,22 +344,22 @@ class TestReplayBuffer:
         buf = ReplayBuffer(50, 2, seed=1)
         for i in range(12):
             buf.push(np.array([float(i), 0.5]), np.full(2, i / 20), i - 5.5,
-                     np.array([i + 1.0, 0.5]), i == 4)
-        states, actions, rewards, next_states, terminal = buf.sample(32)
+                     np.array([i + 1.0, 0.5]))
+        states, actions, rewards, next_states = buf.sample(32)
         assert states.shape == (12, 2) and actions.shape == (12, 2)
-        assert next_states.shape == (12, 2) and terminal.dtype == np.float64
+        assert next_states.shape == (12, 2) and rewards.shape == (12,)
         assert sorted(states[:, 0]) == list(range(12))
-        for s, a, g, ns, term in zip(states, actions, rewards, next_states, terminal):
+        for s, a, g, ns in zip(states, actions, rewards, next_states):
             i = int(s[0])
             assert (a == i / 20).all() and (ns == [i + 1.0, 0.5]).all()
-            assert g == i - 5.5 and term == float(i == 4)
+            assert g == i - 5.5
 
     def test_ring_matches_list_buffer(self):
         buf, oracle = ReplayBuffer(400, 3, seed=5), _ListBuffer(seed=5)
         rng = np.random.default_rng(10_001)
         for i in range(400):
             transition = (rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
-                          rng.uniform(0, 1, 3), bool(rng.random() < 0.15))
+                          rng.uniform(0, 1, 3))
             buf.push(*transition)
             oracle.push(*transition)
             assert len(buf) == len(oracle._items)
@@ -393,7 +372,7 @@ class TestReplayBuffer:
 class _CopyingReference:
     """The agent update as a copying loop: every step rebinds each network
     to a new Mlp over a new vector, the one-step batch is a list of
-    (state, action, reward, next_state, terminal) tuples stacked per field."""
+    (state, action, reward, next_state) tuples stacked per field."""
 
     def __init__(self, ac, items, rng, cfg):
         self.ac, self.items, self.rng, self.cfg = ac, items, rng, cfg
@@ -406,15 +385,14 @@ class _CopyingReference:
         batch = [self.items[i] for i in self.sample()]
         return (np.stack([tr[0] for tr in batch]), np.stack([tr[1] for tr in batch]),
                 np.array([tr[2] for tr in batch]),
-                np.stack([tr[3] for tr in batch]),
-                np.array([tr[4] for tr in batch], dtype=np.float64))
+                np.stack([tr[3] for tr in batch]))
 
     def learn(self):
         ac, cfg = self.ac, self.cfg
-        states, actions, rewards, next_states, terminal = self.batch()
+        states, actions, rewards, next_states = self.batch()
         next_a = ac._act(ac.actor_target, next_states)
         q_next = forward(ac.critic_target, np.hstack([next_states, next_a]))[:, 0]
-        target = rewards + cfg.gamma * (1.0 - terminal) * q_next
+        target = rewards + cfg.gamma * q_next
         critic_acts = []
         err = forward(ac.critic, np.hstack([states, actions]), critic_acts)[:, 0] - target
         grads, _ = reference_backward(ac.critic, critic_acts, (2.0 * err / len(err))[:, None])
@@ -450,7 +428,7 @@ def test_learn_matches_copying_reference():
     updates = 0
     for i in range(48):
         tr = (rng.uniform(0, 1, 3), rng.uniform(0.1, 1.0, 3), rng.normal(),
-              rng.uniform(0, 1, 3), i % 9 == 8)
+              rng.uniform(0, 1, 3))
         opt.buffer.push(*tr)
         ref.items.append(tr)
         opt._learn()

@@ -598,6 +598,36 @@ class TestCmdPlotData:
         assert f"plot-data: {cfg}: 'utf-8' codec can't decode byte 0xff" in caplog.text
         assert not plots.exists()
 
+    @pytest.mark.parametrize("name", ["rounds.jsonl", "finetune.jsonl"])
+    def test_non_utf8_records_exit_3_naming_file_and_line(self, small_config, tmp_path, caplog,
+                                                          name):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+        path = out / name
+        lines = len(path.read_bytes().splitlines())
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        plots = tmp_path / "plots"
+        assert main(["plot-data", "--rounds", str(out / "rounds.jsonl"),
+                     "--out", str(plots)]) == 3
+        assert (f"plot-data: {path}:{lines + 1}: 'utf-8' codec can't decode byte 0xff in "
+                "position 0") in caplog.text
+        assert not plots.exists()
+
+    @pytest.mark.parametrize("command,prefix", [("run", "runtime"), ("plot-data", "plot-data")])
+    def test_out_an_existing_file_exits_3_with_one_line(self, small_config, tmp_path, command,
+                                                       prefix):
+        run = tmp_path / "run"
+        assert main(["run", "--config", str(small_config), "--out", str(run)]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        source = (["--config", str(small_config)] if command == "run"
+                  else ["--rounds", str(run / "rounds.jsonl")])
+        proc = _fresh_cli(command, *source, "--out", str(taken))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith(f"ERROR:fedopt:{prefix}: ") and str(taken) in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert taken.read_text() == "kept\n"
+
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "rounds.jsonl"
         bad.write_text('{"round": 0}\nnot json\n')

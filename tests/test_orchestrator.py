@@ -383,18 +383,25 @@ class TestOptimizedClient:
                 opt.history.append(t, 1.0)
                 opt.states.append(now)
 
-    def test_finish_pushes_terminal_transition_and_fine_tunes_on_all_rows(self):
+    def test_finish_only_fine_tunes_on_all_rows(self):
+        # The run is the agent's one episode: finish pushes nothing and learns nothing.
         opt = self._client(lr=0.5, batch_size=4)
         cfg = opt.cfg
+        cfg.agent.batch_size = 1
         w_global = Mlp.init_glorot(self.ARCH, np.random.default_rng(1)).params
-        sel = opt.round(w_global, 0)
-        (w,) = client_local_train(self.ARCH, w_global, opt.x[sel], opt.y[sel], 1, cfg.batch_size,
-                                  cfg.lr, [np.random.default_rng(0)], [len(sel)])
-        opt.end_round(w)
-        assert len(opt.buffer) == 0 and opt.pending is not None
+        for t in range(2):
+            sel = opt.round(w_global, t)
+            (w,) = client_local_train(self.ARCH, w_global, opt.x[sel], opt.y[sel], 1,
+                                      cfg.batch_size, cfg.lr, [np.random.default_rng(t)],
+                                      [len(sel)])
+            opt.end_round(w)
+        nets = (opt.ac.actor, opt.ac.critic, opt.ac.actor_target, opt.ac.critic_target)
+        before = [net.params.copy() for net in nets]
+        assert len(opt.buffer) == 1 and opt.pending is not None
         best, trace = opt.finish(w)
-        assert len(opt.buffer) == 1 and opt.pending is None
-        assert opt.buffer.sample(1)[4][0] == 1.0  # terminal
+        assert len(opt.buffer) == 1
+        for net, params in zip(nets, before, strict=True):
+            assert np.array_equal(net.params, params)
         want = post_fl_finetune(self.ARCH, w, opt.x[:12], opt.y[:12], opt.x[12:], opt.y[12:],
                                 cfg.batch_size, cfg.lr, cfg.finetune_patience,
                                 cfg.finetune_max_epochs,
@@ -402,9 +409,9 @@ class TestOptimizedClient:
         assert np.array_equal(best, want[0]) and trace == want[1]
 
     @pytest.mark.parametrize("c_ratio", [0.5, 1.0])
-    def test_buffer_holds_one_transition_per_round_the_client_ran(self, monkeypatch, c_ratio):
-        # More rounds than a minibatch, so the agent learns; at c_ratio 1 the
-        # buffer, sized to `rounds`, ends full.
+    def test_buffer_holds_one_transition_per_completed_round(self, monkeypatch, c_ratio):
+        # More rounds than a minibatch, so the agent learns. A round's transition
+        # completes at the client's next round, so the last round's never does.
         clients = []
         finish = _OptimizedClient.finish
         monkeypatch.setattr(_OptimizedClient, "finish",
@@ -413,7 +420,19 @@ class TestOptimizedClient:
         cfg.agent.batch_size = 4
         ran = sum(r.optimized is not None for r in run_federated(cfg).rounds)
         assert cfg.agent.batch_size < ran <= cfg.rounds
-        assert len(clients[0].buffer) == ran
+        assert len(clients[0].buffer) == ran - 1 and clients[0].pending is not None
+
+    def test_agent_learns_once_per_completed_transition_past_a_minibatch(self, monkeypatch):
+        # Sampled every round, the client completes a transition at the start of
+        # rounds 1 .. rounds-1 and learns from the batch_size-th on; finish adds none.
+        calls = []
+        actor_update = orchestrator.agent_mod.actor_update
+        monkeypatch.setattr(orchestrator.agent_mod, "actor_update",
+                            lambda ac, states: calls.append(len(states)) or actor_update(ac, states))
+        cfg = small_cfg(rounds=12, c_ratio=1.0)
+        cfg.agent.batch_size = 4
+        assert all(r.optimized is not None for r in run_federated(cfg).rounds)
+        assert calls == [cfg.agent.batch_size] * (cfg.rounds - cfg.agent.batch_size)
 
     def test_training_rows_gathered_once_per_run(self, monkeypatch):
         calls = []
