@@ -3,8 +3,11 @@ performance-bound calculator.
 
 One client ("optimized") chooses per-class training-data fractions through
 a DDPG agent each round; every other ("naive") client trains on its full
-local train split. All randomness flows from four streams of `seed` (data,
-init, agent, sampling: seed + 0..3), so equal configs replay bit-identically.
+local train split. All randomness flows from `seed`: the data, init, agent and
+sampling streams from seed + 0..3, the agent's buffer and explore streams from
+seed + 2 with keys 1 and 2, and the split (17), batch-order (29), action (41) and
+fine-tune (53) streams from seed with those keys, so equal configs replay
+bit-identically.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class ExperimentConfig:
     action_strategy: str = "normalized"
     dirichlet_alpha: float = 0.5
     split_ratio: float = 0.8
-    seed: int = 0  # data stream seed, init seed + 1, agent seed + 2, sampling seed + 3
+    seed: int = 0  # seeds every stream of the run (module docstring)
     hidden_dims: list[int] = field(default_factory=lambda: [32])
     n_classes: int = 4
     n_per_class: int = 400

@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:  # the gufunc np.linalg.lstsq wraps (LAPACK dgelsd); numpy 1.x has none named lstsq
+    from numpy.linalg._umath_linalg import lstsq as _dgelsd
+except ImportError:
+    _dgelsd = None
+
 
 @dataclass
 class ExpFit:
@@ -45,6 +50,22 @@ class LossHistory:
         return len(self.rounds)
 
 
+def _solve_gufunc(a: np.ndarray, rhs: np.ndarray, rcond: float) -> list[float]:
+    """`np.linalg.lstsq(a, rhs, rcond)[0]` bit for bit, without the wrapper that is about
+    half of a 2-column solve; NaN where dgelsd fails, which the wrapper raises as LinAlgError."""
+    return _dgelsd(a, rhs, rcond)[0].ravel().tolist()
+
+
+def _solve_wrapped(a: np.ndarray, rhs: np.ndarray, rcond: float) -> list[float]:
+    try:
+        return np.linalg.lstsq(a, rhs, rcond=rcond)[0].ravel().tolist()
+    except np.linalg.LinAlgError:
+        return [np.nan] * a.shape[1]
+
+
+_solve = _solve_wrapped if _dgelsd is None else _solve_gufunc
+
+
 def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
     """Least-squares fit of L(t) = -u*exp(-v*t).
 
@@ -60,11 +81,12 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
         return ExpFit(fit_valid=False)
     # Rows 0-1 of one buffer hold the design matrix's, then the Jacobian's columns,
     # row 2 the right-hand side; in-place fills keep each plain expression's grouping,
-    # so the iterates are the same bit for bit.
+    # so the iterates are the same bit for bit. A failed solve's NaN fails a finiteness test.
     a0, a1, b = buf = np.array([np.ones_like(t), -t, np.log(np.abs(y))])
-    a = buf[:2].T
-    with np.errstate(over="ignore", invalid="ignore"):
-        c0, v = np.linalg.lstsq(a, b, rcond=None)[0].tolist()
+    a, rhs = buf[:2].T, b[:, None]
+    rcond = np.finfo(np.float64).eps * len(t)  # lstsq's rcond=None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c0, v = _solve(a, rhs, rcond)
         u = sign * float(np.exp(c0))
         for _ in range(max_iter):
             e = np.exp(np.multiply(-v, t, out=a0), out=a0)
@@ -73,10 +95,7 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
             np.negative(e, out=a0)
             if not np.isfinite(buf).all():  # an overflowed iterate cannot recover
                 return ExpFit(fit_valid=False)
-            try:
-                du, dv = np.linalg.lstsq(a, b, rcond=None)[0].tolist()
-            except np.linalg.LinAlgError:
-                return ExpFit(fit_valid=False)
+            du, dv = _solve(a, rhs, rcond)
             u, v = u + du, v + dv
             if abs(du) < 1e-12 and abs(dv) < 1e-12:
                 break

@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedopt import reward
 from fedopt.reward import (
     DIV_GUARD,
     ExpFit,
@@ -14,6 +16,14 @@ from fedopt.reward import (
     estimate_loss,
     fit_exponential,
 )
+
+
+# The fit's two solve paths: the dgelsd gufunc (numpy 1.x has none named lstsq) and np.linalg.lstsq.
+SOLVE_PATHS = [
+    pytest.param(reward._solve_gufunc, id="gufunc",
+                 marks=pytest.mark.skipif(reward._dgelsd is None, reason="no lstsq gufunc")),
+    pytest.param(reward._solve_wrapped, id="fallback"),
+]
 
 
 def history_from(t, losses):
@@ -60,20 +70,58 @@ class TestFitExponential:
                   0.37221308320795093, 0.515093638513419, 0.2685196039086561,
                   0.3182088905002319, 0.33714490231289873, 0.2653655232959669,
                   10.116012542897106]
-        lstsq = np.linalg.lstsq
+        solve, calls = reward._solve, []
 
-        def finite_lstsq(a, b, **kwargs):
+        def finite_solve(a, rhs, rcond):
             # LAPACK prints "DLASCL ... illegal value" on a non-finite input
-            assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-            return lstsq(a, b, **kwargs)
+            assert np.all(np.isfinite(a)) and np.all(np.isfinite(rhs))
+            calls.append(rcond)
+            return solve(a, rhs, rcond)
 
-        monkeypatch.setattr(np.linalg, "lstsq", finite_lstsq)
+        monkeypatch.setattr(reward, "_solve", finite_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = fit_exponential(history_from(range(10), losses))
         assert not fit.fit_valid
+        assert calls
         out, err = capfd.readouterr()
         assert out == "" and err == ""
+
+    @pytest.mark.parametrize("failing_call", [0, 2], ids=["seed", "step"])
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_failed_solve_is_invalid_and_silent(self, path, failing_call, monkeypatch):
+        # The gufunc fills a solve that dgelsd cannot converge with NaN and raises the
+        # invalid flag; np.linalg.lstsq raises LinAlgError instead.
+        monkeypatch.setattr(reward, "_solve", path)
+        calls = []
+        if path is reward._solve_gufunc:
+            gufunc = reward._dgelsd
+
+            def failing(a, rhs, rcond):
+                x, *rest = gufunc(a, rhs, rcond)
+                calls.append(rcond)
+                if len(calls) - 1 == failing_call:
+                    x[...] = np.subtract(np.inf, np.inf)
+                return (x, *rest)
+
+            monkeypatch.setattr(reward, "_dgelsd", failing)
+        else:
+            lstsq = np.linalg.lstsq
+
+            def failing(a, b, **kwargs):
+                calls.append(kwargs)
+                if len(calls) - 1 == failing_call:
+                    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+                return lstsq(a, b, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "lstsq", failing)
+        t = np.arange(10)
+        h = history_from(t, 2.0 * np.exp(-0.1 * t) * (1 + 0.05 * np.sin(t)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_exponential(h)
+        assert not fit.fit_valid
+        assert len(calls) == failing_call + 1
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -150,10 +198,13 @@ def loss_histories(draw):
     return LossHistory(t.tolist(), y.tolist())
 
 
+@pytest.mark.parametrize("path", SOLVE_PATHS)
 @given(h=loss_histories())
 @settings(max_examples=150, deadline=None)
-def test_fit_is_bit_identical_to_the_reference(h):
-    new, ref = fit_exponential(h), reference_fit_exponential(h)
+def test_fit_is_bit_identical_to_the_reference(path, h):
+    with mock.patch.object(reward, "_solve", path):
+        new = fit_exponential(h)
+    ref = reference_fit_exponential(h)
     # repr is exact for floats, keeps the sign of zero and makes NaN equal to NaN
     assert [repr(getattr(new, f)) for f in ("u", "v", "fit_valid")] == [
         repr(getattr(ref, f)) for f in ("u", "v", "fit_valid")]
