@@ -10,6 +10,7 @@ look-back window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -149,12 +150,11 @@ def weighted_metric_action(
     return np.clip(a * factors, np.finfo(float).tiny, 1.0)
 
 
-def epsilon_greedy_select(
-    explore: np.ndarray, greedy: np.ndarray, epsilon: float, rng: np.random.Generator
-) -> np.ndarray:
-    """`explore` with probability epsilon, else the actor's `greedy` action."""
+def epsilon_greedy_select(explore: Callable[[], np.ndarray], greedy: np.ndarray, epsilon: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """`explore()` with probability epsilon, else the actor's `greedy` action; one draw a call."""
     if rng.random() < epsilon:
-        return np.asarray(explore, dtype=np.float64)
+        return np.asarray(explore(), dtype=np.float64)
     return greedy
 
 
@@ -167,12 +167,12 @@ def critic_update(ac: ActorCritic, batch: tuple) -> float:
     if len(states) == 0:
         raise ValueError("empty batch")
     next_a = ac._act(ac.actor_target, next_states)
-    q_next = forward(ac.critic_target, np.hstack([next_states, next_a]))[:, 0]
+    q_next = forward(ac.critic_target, np.concatenate([next_states, next_a], axis=1))[:, 0]
     target = rewards + ac.cfg.gamma * q_next
     acts: list = []
-    q = forward(ac.critic, np.hstack([states, actions]), acts)[:, 0]
+    q = forward(ac.critic, np.concatenate([states, actions], axis=1), acts)[:, 0]
     err = q - target
-    loss = float(np.mean(err**2))
+    loss = float(np.add.reduce(err**2) / len(err))
     d_out = (2.0 * err / len(err))[:, None]
     grads = backward(ac.critic, acts, d_out)
     sgd_step(ac.critic.params, grads, ac.cfg.critic_lr)
@@ -192,8 +192,8 @@ def actor_update(ac: ActorCritic, states: np.ndarray) -> float:
     sig = _sigmoid(raw)
     acts = ac.cfg.b_l + (ac.cfg.b_u - ac.cfg.b_l) * sig
     critic_acts: list = []
-    q = forward(ac.critic, np.hstack([states, acts]), critic_acts)[:, 0]
-    objective = float(np.mean(q))
+    q = forward(ac.critic, np.concatenate([states, acts], axis=1), critic_acts)[:, 0]
+    objective = float(np.add.reduce(q) / len(q))
     d_q = np.full((len(states), 1), 1.0 / len(states))
     d_in = input_grad(ac.critic, critic_acts, d_q)
     d_action = d_in[:, ac.n_classes :]

@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -30,10 +31,10 @@ log = logging.getLogger("fedopt")
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
 
-def _atomic_write(path: Path, *texts: str) -> None:
+def _atomic_write(path: Path, texts: Iterable[str]) -> None:
     # Not mkstemp: its 0600 mode would survive the rename. A new file gets
     # 0666 less the umask, as any other file the user writes. The texts are
-    # written one by one, so a long file is never joined into one more copy.
+    # written as they come, so a long file is never held whole.
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
@@ -100,9 +101,10 @@ def _bests(result: RunResult, opt_id: int | None) -> dict[str, list[float]]:
 
 
 def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> None:
-    # Build every text before writing anything: a non-finite value raises here.
+    # Check every value before writing anything: a non-finite one raises here.
     if not np.isfinite(result.metrics).all():
         raise ValueError("non-finite client metrics")
+    optimized = [json.dumps(r.optimized, sort_keys=True, allow_nan=False) for r in result.rounds]
     # A rounds.jsonl line is the record's json.dumps(sort_keys=True): `line`
     # holds the fixed texts, keys in sorted order, at its odd slots and one
     # text per score between them. One join sizes the line exactly, where
@@ -113,14 +115,15 @@ def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> N
     line = [""] * (2 * template.count("%s") + 3)
     line[1:-1:2] = template.split("%s")
     text = _FloatText()
-    lines = []
-    for r, m in zip(result.rounds, result.metrics):
-        line[0] = '{"aggregation": %s, "client_metrics": [' % json.dumps(r.aggregation)
-        line[2:-2:2] = map(text.__getitem__, m[:, _JSON_ORDER].ravel().tolist())
-        line[-1] = '], "optimized": %s, "round": %d, "sampled": %s}\n' % (
-            json.dumps(r.optimized, sort_keys=True, allow_nan=False), r.round,
-            json.dumps(r.sampled))
-        lines.append("".join(line))
+
+    def lines():  # streamed into the file: every value was checked above
+        for r, m, opt in zip(result.rounds, result.metrics, optimized):
+            line[0] = '{"aggregation": %s, "client_metrics": [' % json.dumps(r.aggregation)
+            line[2:-2:2] = map(text.__getitem__, m[:, _JSON_ORDER].ravel().tolist())
+            line[-1] = '], "optimized": %s, "round": %d, "sampled": %s}\n' % (
+                opt, r.round, json.dumps(r.sampled))
+            yield "".join(line)
+
     ft_text = "".join(
         json.dumps(e, sort_keys=True, allow_nan=False) + "\n" for e in result.finetune_trace
     )
@@ -128,10 +131,10 @@ def _write_outputs(out_dir: Path, cfg: ExperimentConfig, result: RunResult) -> N
         f"{label},{p:.6f},{r:.6f},{a:.6f}"
         for label, (p, r, a) in _bests(result, cfg.optimized_client).items()))
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "config.resolved.cfg", emit_config(cfg))
-    _atomic_write(out_dir / "rounds.jsonl", *lines)
-    _atomic_write(out_dir / "finetune.jsonl", ft_text)
-    _atomic_write(out_dir / "summary.csv", summary)
+    _atomic_write(out_dir / "config.resolved.cfg", [emit_config(cfg)])
+    _atomic_write(out_dir / "rounds.jsonl", lines())
+    _atomic_write(out_dir / "finetune.jsonl", [ft_text])
+    _atomic_write(out_dir / "summary.csv", [summary])
 
 
 def cmd_run(args) -> int:
@@ -197,7 +200,7 @@ def cmd_plot_data(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
-            _atomic_write(out_dir / name, text)
+            _atomic_write(out_dir / name, [text])
     except (OSError, ValueError) as exc:
         log.error("plot-data: %s", exc)
         return EXIT_RUNTIME

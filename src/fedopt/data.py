@@ -142,8 +142,10 @@ def train_val_split(p: ClientPartition, ratio: float, seed: int) -> ClientPartit
     return ClientPartition(p.client_id, p.n_classes, train_by_class, val)
 
 
-def action_partition(p: ClientPartition, fractions: np.ndarray, seed: int) -> np.ndarray:
-    """Per class, keep floor(fraction * count) uniformly sampled indices.
+def action_partition(p: ClientPartition, fractions: np.ndarray,
+                     seed: int | np.random.Generator) -> np.ndarray:
+    """Per class, keep floor(fraction * count) uniformly sampled indices, drawn from
+    `default_rng(seed)`: `seed` is an int or the Generator itself.
 
     Nonzero fractions on nonempty classes keep at least one sample.
     A fraction of exactly 1.0 keeps the class list unchanged. Returns the
@@ -152,14 +154,15 @@ def action_partition(p: ClientPartition, fractions: np.ndarray, seed: int) -> np
     fractions = np.asarray(fractions, dtype=np.float64)
     if len(fractions) != p.n_classes:
         raise ValueError("fractions length != class count")
-    if not np.all((fractions > 0.0) & (fractions <= 1.0)):  # NaN fails too
+    if not np.logical_and.reduce((fractions > 0.0) & (fractions <= 1.0)):  # NaN fails too
         raise ValueError(f"fractions outside (0, 1]: {fractions}")
     rng = np.random.default_rng(seed)
     kept = []
-    for frac, idx in zip(fractions, p.train_indices_by_class):
+    for frac, idx in zip(fractions.tolist(), p.train_indices_by_class):
         if len(idx) == 0 or frac >= 1.0:
             kept.append(idx)
         else:
-            n = max(1, int(np.floor(frac * len(idx))))
-            kept.append(np.sort(rng.choice(idx, size=n, replace=False)))
+            n = max(1, int(frac * len(idx)))  # the floor: the product is positive
+            # Positions: the draws of rng.choice(idx, n, replace=False), without its idx handling.
+            kept.append(np.sort(idx[rng.choice(len(idx), n, replace=False)]))
     return _concat(kept)

@@ -45,17 +45,15 @@ def confusion(
 
 def class_prf1(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class precision, recall, F1, shaped (..., C); any 0/0 is 0."""
-    tp = np.diagonal(cm, axis1=-2, axis2=-1).astype(np.float64)
+    tp = cm.diagonal(axis1=-2, axis2=-1).astype(np.float64)
     # Column and row sums by views: integer sums are exact, and numpy reduces a short axis slowly.
     predicted, true = cm[..., 0, :].copy(), cm[..., :, 0].copy()
     for j in range(1, cm.shape[-1]):
         predicted += cm[..., j, :]
         true += cm[..., :, j]
-    fp, fn = predicted - tp, true - tp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-        r = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
-        f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
+    p = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    r = np.divide(tp, true, out=np.zeros_like(tp), where=true > 0)
+    f1 = np.divide(2 * p * r, p + r, out=np.zeros_like(tp), where=p + r > 0)
     return p, r, f1
 
 
@@ -103,6 +101,8 @@ def compute_state(
     if len(y) == 0:
         raise ValueError("empty dataset")
     logits = forward(Mlp(arch, params), x)
-    loss = cross_entropy_loss(logits, y)
-    _, _, f1 = class_prf1(confusion(logits.argmax(axis=1), y, arch[-1]))
+    loss = cross_entropy_loss(logits, y)  # checks every label is in range
+    c = arch[-1]
+    cells = np.asarray(y, dtype=np.int64) * c + logits.argmax(axis=1)  # argmax is in range
+    _, _, f1 = class_prf1(np.bincount(cells, minlength=c * c).reshape(c, c))
     return f1, loss

@@ -107,13 +107,13 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> float | np.nda
     n, c = logits.shape[-2:]
     if n == 0:
         raise ValueError("empty batch")
-    if labels.min() < 0 or labels.max() >= c:
+    if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= c:
         raise ValueError(f"label out of range [0, {c})")
     z = logits - _row_max(logits)
-    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    log_probs = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
     # Row r of the (rows, c) view picks class labels[r].
-    picked = np.arange(labels.size), labels.ravel()
-    loss = -log_probs.reshape(-1, c)[picked].reshape(labels.shape).mean(axis=-1)
+    picked = log_probs.reshape(-1, c)[np.arange(labels.size), labels.ravel()].reshape(labels.shape)
+    loss = -np.add.reduce(picked, axis=-1) / labels.shape[-1]  # the mean, as numpy's divides it
     return float(loss) if loss.ndim == 0 else loss
 
 
@@ -131,7 +131,7 @@ def cross_entropy_grad(
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape[-2:]
     z = logits - _row_max(logits)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))  # log-probabilities
+    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))  # log-probabilities
     d = np.exp(z, out=z)
     d -= labels[..., None] == np.arange(c)  # 1.0 at each row's label; x - 0.0 is x
     if n_real is None:
@@ -153,7 +153,7 @@ def backward(model: Mlp, acts: list[np.ndarray], d_logits: np.ndarray) -> np.nda
     lead = delta.shape[:-2]
     for i in reversed(range(len(model.weights))):
         grads[2 * i] = (acts[i].swapaxes(-1, -2) @ delta).reshape(*lead, -1)
-        grads[2 * i + 1] = delta.sum(axis=-2)
+        grads[2 * i + 1] = np.add.reduce(delta, axis=-2)
         if i > 0:
             delta = delta @ model.weights[i].swapaxes(-1, -2)
             delta *= acts[i] > 0.0

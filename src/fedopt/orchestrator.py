@@ -244,23 +244,23 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _batch_order_states(seed: int, schedule: list[list[int]]) -> list[np.ndarray]:
-    """PCG64's seed words of `default_rng(_derived_seed(seed, 29, t, k))` for each k in schedule[t].
+def _stream_states(seed: int, purpose: int, *keys: np.ndarray) -> np.ndarray:
+    """PCG64's seed words of `default_rng(_derived_seed(seed, purpose, *key))` for each key.
 
-    Returns one (len(schedule[t]), 4) uint64 array per round t. SeedSequence
-    reads `seed` as little-endian 32-bit words, one word for 0.
+    Key i holds the i-th entries of the N-long int arrays `keys`; returns an (N, 4)
+    uint64 array. SeedSequence reads `seed` as little-endian 32-bit words, one word for 0.
     """
-    sizes = list(map(len, schedule))
-    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.empty((len(seed_words) + 3, sum(sizes)), dtype=np.uint32)
-    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[-3] = 29
-    entropy[-2] = np.repeat(np.arange(len(schedule), dtype=np.uint32), sizes)
-    entropy[-1] = np.fromiter(itertools.chain.from_iterable(schedule), np.uint32, sum(sizes))
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array(np.broadcast_arrays(*words, purpose, *keys), dtype=np.uint32)
     derived = _seed_words(entropy, 1)  # each key's _derived_seed
     # PCG64 asks its seed sequence for 4 uint64: 8 words read as little-endian pairs.
     states = np.ascontiguousarray(_seed_words(derived, 8).T, dtype="<u4").view("<u8")
-    return np.split(states.astype(np.uint64), list(itertools.accumulate(sizes))[:-1])
+    return states.astype(np.uint64)
+
+
+def _stream(state: np.ndarray) -> np.random.Generator:
+    """The generator of one row of `_stream_states`."""
+    return np.random.Generator(np.random.PCG64(_StateWords(state)))
 
 
 def client_local_train(
@@ -386,6 +386,7 @@ class _OptimizedClient:
         # A run pushes at most one transition a round.
         self.buffer = ReplayBuffer(cfg.rounds, arch[-1], _derived_seed(cfg.seed + 2, 1))
         self.rng = np.random.default_rng(_derived_seed(cfg.seed + 2, 2))
+        self.action_streams = _stream_states(cfg.seed, 41, np.arange(cfg.rounds))
         self.history = LossHistory()
         self.states: list[np.ndarray] = []  # the state of each round in history.rounds
         self.pending: tuple[np.ndarray, np.ndarray, float] | None = None
@@ -420,12 +421,12 @@ class _OptimizedClient:
             fractions = np.ones(part.n_classes)
         else:
             raw = agent_mod.policy_action(self.ac, state)
-            explore = self._explore_action(raw, state, t)
             eps = cfg.agent.epsilon_at(t, cfg.rounds)
-            fractions = agent_mod.epsilon_greedy_select(explore, raw, eps, self.rng)
+            fractions = agent_mod.epsilon_greedy_select(
+                lambda: self._explore_action(raw, state, t), raw, eps, self.rng)
         _require_finite(f"round {t}: client {part.client_id}", fractions=fractions)
 
-        sel = data_mod.action_partition(part, fractions, _derived_seed(cfg.seed, 41, t))
+        sel = data_mod.action_partition(part, fractions, _stream(self.action_streams[t]))
         self.picked = (t, state, l_agg, fractions, len(sel))
         return sel
 
@@ -448,7 +449,7 @@ class _OptimizedClient:
                 est = estimate_loss(fit, t)
                 if est > FIT_FLOOR * l_local:
                     l_est = l_ref = est
-        mu_a = float(np.mean(fractions))
+        mu_a = float(np.add.reduce(fractions) / len(fractions))  # np.mean's sum and division
         r = compute_reward(l_agg, l_ref, mu_a, cfg.reward)
         _require_finite(f"round {t}: client {part.client_id}", l_agg=l_agg, l_local=l_local,
                         l_ref=l_ref, reward=r)
@@ -529,7 +530,9 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     # Every round is sampled, and its batch-order streams derived, before round 0.
     rng_sampling = np.random.default_rng(cfg.seed + 3)
     schedule = [sample_clients(cfg.n_clients, cfg.c_ratio, rng_sampling) for _ in range(cfg.rounds)]
-    batch_orders = _batch_order_states(cfg.seed, schedule)
+    sizes = list(map(len, schedule))
+    batch_orders = np.split(_stream_states(cfg.seed, 29, np.repeat(np.arange(cfg.rounds), sizes),
+                                           np.concatenate(schedule)), np.cumsum(sizes)[:-1])
     prox = cfg.prox_mu if cfg.aggregation == "fedprox" else 0.0
     for t, sampled in enumerate(schedule):
         # Every sampled client with training rows trains in one lockstep call, in
@@ -544,7 +547,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
             rows[cfg.optimized_client] = opt.round(server.global_params, t)
         gathered = np.concatenate(list(rows.values()))
         states = dict(zip(sampled, batch_orders[t]))
-        rngs = [np.random.Generator(np.random.PCG64(_StateWords(states[k]))) for k in rows]
+        rngs = [_stream(states[k]) for k in rows]
         trained = client_local_train(
             arch, server.global_params, x.take(gathered, axis=0), y[gathered],
             cfg.local_epochs, cfg.batch_size, cfg.lr, rngs, [len(r) for r in rows.values()],

@@ -76,8 +76,8 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
         raise ValueError("need at least 3 history points")
     t = np.asarray(h.rounds, dtype=np.float64)
     y = np.asarray(h.losses, dtype=np.float64)
-    sign = -1.0 if np.all(y > 0) else 1.0
-    if not np.all(sign * y < 0):  # mixed signs, a zero or a NaN
+    sign = -1.0 if np.logical_and.reduce(y > 0) else 1.0
+    if not np.logical_and.reduce(sign * y < 0):  # mixed signs, a zero or a NaN
         return ExpFit(fit_valid=False)
     # Rows 0-1 of one buffer hold the design matrix's, then the Jacobian's columns,
     # row 2 the right-hand side; in-place fills keep each plain expression's grouping,
@@ -93,13 +93,14 @@ def fit_exponential(h: LossHistory, max_iter: int = 50) -> ExpFit:
             np.multiply(np.multiply(u, t, out=a1), e, out=a1)
             np.add(np.multiply(u, e, out=b), y, out=b)  # minus the residual -u*e - y
             np.negative(e, out=a0)
-            if not np.isfinite(buf).all():  # an overflowed iterate cannot recover
+            if not np.logical_and.reduce(np.isfinite(buf), axis=None):  # overflowed for good
                 return ExpFit(fit_valid=False)
             du, dv = _solve(a, rhs, rcond)
             u, v = u + du, v + dv
             if abs(du) < 1e-12 and abs(dv) < 1e-12:
                 break
-        if not np.isfinite(np.linalg.norm(-u * np.exp(-v * t) - y)):  # the final fit overflowed
+        res = -u * np.exp(-v * t) - y
+        if not np.isfinite(res.dot(res)):  # the final fit overflowed; np.linalg.norm is its root
             return ExpFit(fit_valid=False)
     return ExpFit(u, v, True)
 

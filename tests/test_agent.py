@@ -148,31 +148,55 @@ class TestEpsilonGreedy:
         greedy = np.array([0.2, 0.3, 0.4])
         rng = np.random.default_rng(0)
         for _ in range(20):
-            np.testing.assert_array_equal(epsilon_greedy_select(explore, greedy, 1.0, rng),
-                                          explore)
+            np.testing.assert_array_equal(
+                epsilon_greedy_select(lambda: explore, greedy, 1.0, rng), explore)
 
     def test_epsilon_zero_always_greedy(self):
         ac = make_ac()
         greedy = policy_action(ac, np.zeros(3))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert epsilon_greedy_select(np.ones(3), greedy, 0.0, rng) is greedy
+            assert epsilon_greedy_select(lambda: np.ones(3), greedy, 0.0, rng) is greedy
 
     def test_monte_carlo_frequency(self):
         explore = np.full(3, 0.123)
         greedy = np.full(3, 0.5)
         rng = np.random.default_rng(42)
         hits = sum(
-            epsilon_greedy_select(explore, greedy, 0.3, rng)[0] == 0.123 for _ in range(10_000)
+            epsilon_greedy_select(lambda: explore, greedy, 0.3, rng)[0] == 0.123
+            for _ in range(10_000)
         )
         assert 0.28 <= hits / 10_000 <= 0.32
 
     def test_draws_one_number_per_call(self):
         rng, ref = np.random.default_rng(7), np.random.default_rng(7)
         for eps in (0.0, 0.5, 1.0):
-            epsilon_greedy_select(np.ones(3), np.zeros(3), eps, rng)
+            epsilon_greedy_select(lambda: np.ones(3), np.zeros(3), eps, rng)
             ref.random()
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7, 1.0])
+    def test_calls_explore_exactly_when_it_explores(self, eps):
+        # The explore transform costs a round its work only when the draw explores.
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        explore, greedy = np.full(3, 0.25), np.full(3, 0.75)
+        calls, explored = [], []
+
+        def transform():
+            calls.append(len(explored))
+            return explore
+
+        for _ in range(200):
+            got = epsilon_greedy_select(transform, greedy, eps, rng)
+            explored.append(ref.random() < eps)  # one number a call, drawn as the reference does
+            assert calls == [j for j, e in enumerate(explored) if e]  # once, in this call only
+            if explored[-1]:
+                np.testing.assert_array_equal(got, explore)
+            else:
+                assert got is greedy
+        assert rng.random() == ref.random()
+        assert sum(explored) == {0.0: 0, 1.0: 200}.get(eps, sum(explored))
+        assert 0 < sum(explored) < 200 or eps in (0.0, 1.0)
 
 
 class TestCriticUpdate:

@@ -244,7 +244,17 @@ class TestCmdRun:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            _atomic_write(tmp_path / "rounds.jsonl", "{}\n")
+            _atomic_write(tmp_path / "rounds.jsonl", ["{}\n"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_write_streams_and_removes_its_temp_file_if_a_text_fails(self, tmp_path):
+        def lines():
+            yield "{}\n"
+            assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]  # written as they come
+            raise ValueError("bad record")
+
+        with pytest.raises(ValueError, match="bad record"):
+            _atomic_write(tmp_path / "rounds.jsonl", lines())
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_exit_2(self, tmp_path):
@@ -402,6 +412,21 @@ class TestCmdRun:
         with pytest.raises(ValueError):
             _write_outputs(tmp_path / "o", cfg, result)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["reward", "l_est"])
+    def test_non_finite_fragment_in_the_last_round_writes_no_file(self, small_config, tmp_path,
+                                                                  key):
+        # rounds.jsonl is streamed into its temp file, so every fragment is checked
+        # before the first file is written: nothing lands in --out, not even a .tmp.
+        cfg = parse_config(str(small_config))
+        result = run_federated(cfg)
+        assert len(result.rounds) == 3 and result.rounds[-1].optimized is not None
+        result.rounds[-1].optimized[key] = float("nan")
+        out = tmp_path / "o"
+        out.mkdir()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_outputs(out, cfg, result)
+        assert list(out.iterdir()) == []
 
     def test_non_finite_score_writes_no_file(self, small_config, tmp_path):
         cfg = parse_config(str(small_config))

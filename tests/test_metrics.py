@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedopt.metrics import accuracy, class_prf1, compute_state, confusion, evaluate
-from fedopt.nn import Mlp
+from fedopt.nn import Mlp, forward
 
 
 class TestConfusion:
@@ -79,6 +81,32 @@ class TestClassPrf1Exact:
         assert np.array_equal(cm, before)
 
 
+@st.composite
+def confusion_stacks(draw):
+    """Integer confusion stacks of 0 to 2 leading axes, with some all-zero rows and columns."""
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), *[draw(st.integers(2, 6))] * 2)
+    counts = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**6))
+    cm = np.array(draw(st.lists(counts, min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape)))), dtype=np.int64).reshape(shape)
+    classes = st.lists(st.integers(0, shape[-1] - 1), max_size=shape[-1])
+    cm[..., draw(classes), :] = 0  # classes never true
+    cm[..., :, draw(classes)] = 0  # classes never predicted
+    return cm
+
+
+class TestClassPrf1Divide:
+    @settings(max_examples=200, deadline=None)
+    @given(cm=confusion_stacks())
+    def test_equals_the_errstate_where_formula_and_never_warns(self, cm):
+        # np.divide(where=) divides only where the denominator is positive, so
+        # 0/0 raises no flag at all, where the np.where form hid one.
+        with np.errstate(all="raise"):
+            got = class_prf1(cm)
+        for g, w in zip(got, reference_class_prf1(cm)):
+            assert g.dtype == w.dtype == np.float64 and g.shape == w.shape == cm.shape[:-1]
+            assert g.tobytes() == w.tobytes()
+
+
 class TestAccuracy:
     def test_diagonal(self):
         assert accuracy(np.diag([3, 2, 5])) == 1.0
@@ -134,8 +162,29 @@ class TestComputeState:
         np.testing.assert_array_equal(s1, s2)
 
     def test_empty_dataset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty dataset"):
             compute_state(Mlp([2, 2]).params, [2, 2], np.zeros((0, 2)), np.array([]))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_out_of_range(self, bad):
+        arch = [2, 4, 3]
+        w = Mlp.init_glorot(arch, np.random.default_rng(0)).params
+        with pytest.raises(ValueError, match="label out of range"):
+            compute_state(w, arch, np.zeros((3, 2)), np.array([0, bad, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), c=st.integers(2, 6),
+           hidden=st.lists(st.integers(1, 6), max_size=2), scale=st.sampled_from([0.0, 1.0, 30.0]))
+    def test_f1_equals_class_prf1_of_confusion(self, seed, n, c, hidden, scale):
+        # A model with zero weights predicts class 0 everywhere: whole columns are empty.
+        rng = np.random.default_rng(seed)
+        arch = [3, *hidden, c]
+        w = Mlp.init_glorot(arch, rng).params * scale
+        x = rng.normal(size=(n, 3))
+        y = rng.integers(0, rng.integers(1, c + 1), n)  # some classes may have no rows
+        f1, _ = compute_state(w, arch, x, y)
+        preds = forward(Mlp(arch, w), x).argmax(axis=1)
+        assert f1.tobytes() == class_prf1(confusion(preds, y, c))[2].tobytes()
 
     def test_loss_equals_dataset_loss(self):
         from fedopt.orchestrator import dataset_loss

@@ -526,15 +526,31 @@ class TestBatchOrderStreams:
     def test_streams_equal_default_rng_of_derived_seed(self, seed, schedule):
         # Rounds of 0 to 4 clients, any client id: an empty round shifts no later one.
         schedule = [[0], *schedule]
-        states = orchestrator._batch_order_states(seed, schedule)
-        assert [words.shape for words in states] == [(len(ks), 4) for ks in schedule]
-        for t, (ks, round_states) in enumerate(zip(schedule, states)):
-            for k, words in zip(ks, round_states):
-                want = np.random.default_rng(_derived_seed(seed, 29, t, k))
-                got = np.random.Generator(np.random.PCG64(orchestrator._StateWords(words)))
-                assert got.bit_generator.state == want.bit_generator.state
-                for n in (1, 7, 64):
-                    assert np.array_equal(got.permutation(n), want.permutation(n))
+        keys = [(t, k) for t, ks in enumerate(schedule) for k in ks]
+        states = orchestrator._stream_states(seed, 29, *np.array(keys, dtype=np.int64).T)
+        assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+        for (t, k), words in zip(keys, states):
+            want = np.random.default_rng(_derived_seed(seed, 29, t, k))
+            got = orchestrator._stream(words)
+            assert got.bit_generator.state == want.bit_generator.state
+            for n in (1, 7, 64):
+                assert np.array_equal(got.permutation(n), want.permutation(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**96)),
+           rounds=st.integers(1, 40))
+    def test_action_streams_equal_default_rng_of_derived_seed(self, seed, rounds):
+        # Round t's action stream, derived before round 0, is the one action_partition
+        # used to build from default_rng(_derived_seed(seed, 41, t)) in round t.
+        states = orchestrator._stream_states(seed, 41, np.arange(rounds))
+        assert states.shape == (rounds, 4) and states.dtype == np.uint64
+        for t, words in enumerate(states):
+            want = np.random.default_rng(_derived_seed(seed, 41, t))
+            got = orchestrator._stream(words)
+            assert got.bit_generator.state == want.bit_generator.state
+            for n in (1, 5, 300):
+                assert np.array_equal(got.choice(n, (n + 1) // 2, replace=False),
+                                      want.choice(n, (n + 1) // 2, replace=False))
 
     @settings(max_examples=60, deadline=None)
     @given(columns=st.integers(1, 5).flatmap(lambda length: st.lists(
@@ -561,15 +577,15 @@ class TestBatchOrderStreams:
         has_rows = [p.train_size > 0 for p in run_partitions(cfg)[1]]
         assert [k for k, rows in enumerate(has_rows) if not rows] == rowless
         sampled, calls, derived = [], [], []
-        derive = orchestrator._batch_order_states
+        derive = orchestrator._stream_states
 
         def sampling(*args):
             sampled.append(sample_clients(*args))
             return sampled[-1]
 
-        def deriving(seed, schedule):
-            derived.append((seed, [list(ks) for ks in schedule]))
-            return derive(seed, schedule)
+        def deriving(seed, purpose, *keys):
+            derived.append((seed, purpose, [k.tolist() for k in keys]))
+            return derive(seed, purpose, *keys)
 
         def training(*args):
             if len(calls) < cfg.rounds:  # the round's call, not a fine-tune epoch
@@ -577,16 +593,51 @@ class TestBatchOrderStreams:
             return client_local_train(*args)
 
         monkeypatch.setattr(orchestrator, "sample_clients", sampling)
-        monkeypatch.setattr(orchestrator, "_batch_order_states", deriving)
+        monkeypatch.setattr(orchestrator, "_stream_states", deriving)
         monkeypatch.setattr(orchestrator, "client_local_train", training)
         run_federated(cfg)
-        # One derivation before round 0, over every round's sample.
-        assert derived == [(cfg.seed, sampled)]
+        # One derivation before round 0, over every round's sample, after the
+        # optimized client's one derivation of every round's action stream.
+        actions = [(cfg.seed, 41, [list(range(cfg.rounds))])]
+        keys = [(t, k) for t, s in enumerate(sampled) for k in s]
+        assert derived == actions * (cfg.optimized_client is not None) + [
+            (cfg.seed, 29, [[t for t, _ in keys], [k for _, k in keys]])]
         assert list(map(len, sampled)) == [math.ceil(cfg.c_ratio * cfg.n_clients)] * cfg.rounds
         assert len(calls) == cfg.rounds
         for t, (s, states) in enumerate(zip(sampled, calls)):
             assert states == [np.random.default_rng(_derived_seed(cfg.seed, 29, t, k))
                               .bit_generator.state for k in s if has_rows[k]]
+
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_clients=4, c_ratio=0.5, rounds=10, seed=0),
+        dict(n_clients=4, c_ratio=0.5, rounds=10, seed=2**32 + 3,
+             action_strategy="weighted_metric"),
+        dict(n_clients=3, c_ratio=0.34, rounds=12, seed=2**64 + 7, optimized_client=2),
+    ], ids=["seed_0", "two_word_seed_weighted_metric", "three_word_seed_client_2"])
+    def test_action_partition_draws_from_the_rounds_action_stream(self, monkeypatch, overrides):
+        from fedopt import data
+
+        cfg = small_cfg(**overrides)
+        sampled, received = [], []
+        partition = data.action_partition
+
+        def sampling(*args):
+            sampled.append(sample_clients(*args))
+            return sampled[-1]
+
+        def selecting(p, fractions, seed):
+            assert isinstance(seed, np.random.Generator)
+            received.append(seed.bit_generator.state)
+            return partition(p, fractions, seed)
+
+        monkeypatch.setattr(orchestrator, "sample_clients", sampling)
+        monkeypatch.setattr(data, "action_partition", selecting)
+        run_federated(cfg)
+        opt_rounds = [t for t, s in enumerate(sampled) if cfg.optimized_client in s]
+        assert 0 < len(opt_rounds) < cfg.rounds
+        assert received == [np.random.default_rng(_derived_seed(cfg.seed, 41, t))
+                            .bit_generator.state for t in opt_rounds]
 
 
 class TestRunFederated:
